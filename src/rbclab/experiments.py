@@ -36,10 +36,12 @@ from .montecarlo import metropolis_run, oracle_z_scores, recommended_sweeps
 
 # Chunk sizes are fixed constants, not derived from the worker count, so
 # the task list (and with it every row) is identical however many workers
-# execute it.
+# execute it. An oracle-vs-mc trial is a whole chain, and oracle_trial_plan
+# gives chains of very different lengths (up to 8M proposals), so each
+# trial is its own task.
 _CHUNK = {"scaling": 250, "window": 500, "metastate": 250,
           "metastate_exact": 25, "csd": 25, "gauge-check": 25,
-          "oracle-vs-mc": 8}
+          "oracle-vs-mc": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,9 @@ def _map_tasks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(worker, tasks)
+        # tasks are already fixed-size chunks; the pool's own batching
+        # would put neighbouring (often equally heavy) tasks on one worker
+        return pool.map(worker, tasks, chunksize=1)
 
 
 def _resolve_sequence(seq_cfg: dict) -> VolumeSequence:

@@ -2,9 +2,11 @@
 
 Single-spin-flip dynamics on the same (K, h) arrays the exact layer uses, so
 any run can be validated observable-by-observable against the enumeration
-oracle on small volumes.  All randomness is predrawn from counter-based
-streams keyed by the chain seed: a run is a pure function of
-(model, volume, boundary, disorder, chain seed, schedule).
+oracle on small volumes.  All randomness comes from counter-based streams
+keyed by the chain seed, drawn BLOCK sweeps at a time so memory stays
+O(n * BLOCK) for any chain length: a run is a pure function of
+(model, volume, boundary, disorder, chain seed, schedule), however the
+sweeps are split into blocks.
 
 Local fields f = K sigma + h are maintained incrementally (O(N) per
 accepted flip) and recomputed from scratch every `recompute_every` sweeps;
@@ -45,25 +47,21 @@ def recommended_sweeps(beta: float) -> int:
 # ---------------------------------------------------------------------------
 # kernel (one source, numba-compiled when available)
 
+# Sweeps per block of drawn proposals (see the module docstring).
+BLOCK = 1000
 
-def _sweep_loop(K, h, sigma, beta, n_sweeps, sites, uniforms, recompute_every,
-                burn_in, thin, mag_out, en_out, site_sums):
-    n = sigma.shape[0]
-    f = np.empty(n)
-    for i in range(n):
-        acc = h[i]
-        for j in range(n):
-            acc += K[i, j] * sigma[j]
-        f[i] = acc
-    energy = 0.0
-    for i in range(n):
-        energy += -0.5 * sigma[i] * (f[i] + h[i])
-    accepted = 0
-    max_f_drift = 0.0
-    max_e_drift = 0.0
+
+def _sweep_loop(Kc, h, sigma, f, beta, sweep_lo, sweep_hi, sites, uniforms,
+                recompute_every, burn_in, thin, mag_out, en_out, site_sums,
+                energy, accepted, max_f_drift, max_e_drift, m):
+    # Sweeps [sweep_lo, sweep_hi) of one chain. sigma, f and site_sums are
+    # updated in place; the scalar chain state goes in and comes back out.
+    # Kc[i][j] = K[j, i] (one row per flipped spin), and sites/uniforms hold
+    # this block's proposals only. Runs on numpy arrays when compiled and on
+    # Python lists otherwise, where scalar indexing is several times faster.
+    n = len(sigma)
     k = 0
-    m = 0
-    for sweep in range(n_sweeps):
+    for sweep in range(sweep_lo, sweep_hi):
         for _ in range(n):
             i = sites[k]
             de = 2.0 * sigma[i] * f[i]
@@ -72,15 +70,17 @@ def _sweep_loop(K, h, sigma, beta, n_sweeps, sites, uniforms, recompute_every,
             if de <= 0.0 or u < math.exp(-beta * de):
                 s_old = sigma[i]
                 sigma[i] = -s_old
+                c = 2.0 * s_old
+                Ki = Kc[i]
                 for j in range(n):
-                    f[j] -= 2.0 * s_old * K[j, i]
+                    f[j] -= c * Ki[j]
                 energy += de
                 accepted += 1
         if (sweep + 1) % recompute_every == 0:
             for i in range(n):
                 acc = h[i]
                 for j in range(n):
-                    acc += K[i, j] * sigma[j]
+                    acc += Kc[j][i] * sigma[j]
                 d = abs(f[i] - acc)
                 if d > max_f_drift:
                     max_f_drift = d
@@ -100,13 +100,57 @@ def _sweep_loop(K, h, sigma, beta, n_sweeps, sites, uniforms, recompute_every,
             mag_out[m] = s_tot / n
             en_out[m] = energy
             m += 1
-    return accepted, max_f_drift, max_e_drift
+    return energy, accepted, max_f_drift, max_e_drift, m
 
 
 if HAVE_NUMBA:
     _sweep_kernel = _njit(cache=True)(_sweep_loop)
+    _feed = np.ascontiguousarray
 else:
     _sweep_kernel = _sweep_loop
+    _feed = np.ndarray.tolist
+
+
+def _fields_and_energy(K, h, sigma):
+    # f = K sigma + h and the energy in the kernel's recompute order
+    # (sequential over j from h[i]): bit for bit what a checkpoint computes
+    f = h.copy()
+    for j in range(sigma.size):
+        f += K[:, j] * sigma[j]
+    energy = 0.0
+    for term in (-0.5 * sigma * (f + h)).tolist():
+        energy += term
+    return f, energy
+
+
+def _run_chain(kernel, feed, K, h, sigma, beta, chain_seed, n_sweeps,
+               burn_in, thin, recompute_every):
+    """Drive `kernel` over the chain BLOCK sweeps at a time.
+
+    Proposals for sweeps [lo, hi) are words lo*n .. hi*n of the counter
+    streams, so every split of the chain draws the same proposals and the
+    checkpoints (global sweep index) fall on the same sweeps.
+    """
+    n = sigma.size
+    f, energy = _fields_and_energy(K, h, sigma)
+    n_samples = (n_sweeps - burn_in + thin - 1) // thin
+    mag = np.empty(n_samples)
+    en = np.empty(n_samples)
+    Kc, h, sigma, f, site_sums = (feed(a) for a in
+                                  (K.T, h, sigma, f, np.zeros(n)))
+    state = (energy, 0, 0.0, 0.0, 0)
+    for lo in range(0, n_sweeps, BLOCK):
+        hi = min(lo + BLOCK, n_sweeps)
+        sites = (rng.stream_uniform(chain_seed, rng.TAG_MC_SITE, lo * n,
+                                    (hi - lo) * n) * n).astype(np.int64)
+        uniforms = rng.stream_uniform(chain_seed, rng.TAG_MC_ACCEPT, lo * n,
+                                      (hi - lo) * n)
+        state = kernel(Kc, h, sigma, f, beta, lo, hi, feed(sites),
+                       feed(uniforms), recompute_every, burn_in, thin,
+                       mag, en, site_sums, *state)
+    _, accepted, f_drift, e_drift, _ = state
+    return (np.asarray(sigma, dtype=np.float64), accepted, f_drift, e_drift,
+            mag, en, np.asarray(site_sums, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +232,19 @@ def metropolis_run(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
     else:
         raise ValueError(f"start must be 'random', 'plus' or 'minus', got {start!r}")
 
-    n_prop = n_sweeps * n
-    site_u = rng.stream_uniform(chain_seed, rng.TAG_MC_SITE, 0, n_prop)
-    sites = (site_u * n).astype(np.int64)
-    uniforms = rng.stream_uniform(chain_seed, rng.TAG_MC_ACCEPT, 0, n_prop)
-
-    n_samples = (n_sweeps - burn_in + thin - 1) // thin
-    mag = np.empty(n_samples)
-    en = np.empty(n_samples)
-    site_sums = np.zeros(n)
-    accepted, f_drift, e_drift = _sweep_kernel(
-        np.ascontiguousarray(K), np.ascontiguousarray(h), sigma, spec.beta,
-        n_sweeps, sites, uniforms, recompute_every, burn_in, thin,
-        mag, en, site_sums)
+    sigma, accepted, f_drift, e_drift, mag, en, site_sums = _run_chain(
+        _sweep_kernel, _feed, K, h, sigma, spec.beta, chain_seed, n_sweeps,
+        burn_in, thin, recompute_every)
 
     return McRun(
         n_sites=n, beta=spec.beta, n_sweeps=n_sweeps, burn_in=burn_in,
         thin=thin, chain_seed=chain_seed,
-        acceptance_rate=accepted / n_prop,
+        acceptance_rate=accepted / (n_sweeps * n),
         magnetization_mean=float(mag.mean()),
         magnetization_stderr=batch_means_stderr(mag),
         energy_mean=float(en.mean()),
         energy_stderr=batch_means_stderr(en),
-        spin_means=site_sums / n_samples,
+        spin_means=site_sums / mag.size,
         max_field_drift=float(f_drift),
         max_energy_drift=float(e_drift),
         magnetization_samples=mag,

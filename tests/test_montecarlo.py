@@ -1,5 +1,10 @@
 """Metropolis sampler: determinism, drift, error bars, oracle agreement."""
 
+import hashlib
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from rbclab import (BoundaryCondition, DisorderRealization, ModelSpec,
                     Volume, batch_means_stderr, expectation, gibbs_table,
                     metropolis_run)
 from rbclab import montecarlo
+from rbclab.cli import main as cli_main
 
 NN = ModelSpec.nn_ising()
 V8 = Volume.interval(8)
@@ -133,30 +139,121 @@ def test_three_spin_visits_are_stationary_for_the_exact_table():
 
 
 def test_python_and_compiled_kernels_agree():
-    if not montecarlo.HAVE_NUMBA:
-        pytest.skip("numba not installed; single code path")
-    from rbclab import rng
     from rbclab.models import hamiltonian_arrays
-    spec = ModelSpec.nn_ising(beta=0.8)
+    spec = ModelSpec.dyson(1.5, beta=0.5)
     volume = Volume.interval(6)
-    K, h = hamiltonian_arrays(spec, volume, BoundaryCondition.plus())
-    n = volume.n_sites
-    n_sweeps, burn_in, thin = 400, 40, 1
-    sites = (rng.stream_uniform(9, rng.TAG_MC_SITE, 0, n_sweeps * n) * n) \
-        .astype(np.int64)
-    unif = rng.stream_uniform(9, rng.TAG_MC_ACCEPT, 0, n_sweeps * n)
-    outs = []
-    for kernel in (montecarlo._sweep_loop, montecarlo._sweep_kernel):
-        sigma = np.ones(n, dtype=np.float64)
-        n_samples = (n_sweeps - burn_in + thin - 1) // thin
-        mag = np.empty(n_samples)
-        en = np.empty(n_samples)
-        site_sums = np.zeros(n)
-        res = kernel(K, h, sigma, spec.beta, n_sweeps, sites, unif, 1000,
-                     burn_in, thin, mag, en, site_sums)
-        outs.append((res, mag.copy(), en.copy(), sigma.copy()))
-    (ra, ma, ea, sa), (rb, mb, eb, sb) = outs
-    assert ra[0] == rb[0]
-    assert np.array_equal(ma, mb)
-    assert np.array_equal(ea, eb)
-    assert np.array_equal(sa, sb)
+    K, h = hamiltonian_arrays(spec, volume, BoundaryCondition.random(4))
+    # the Python kernel on lists and on arrays, and the kernel and feed
+    # that metropolis_run uses (compiled on arrays when numba is present),
+    # over 2.5 blocks with checkpoints that straddle block boundaries
+    paths = ((montecarlo._sweep_loop, np.ndarray.tolist),
+             (montecarlo._sweep_loop, np.ascontiguousarray),
+             (montecarlo._sweep_kernel, montecarlo._feed))
+    ref, *others = [montecarlo._run_chain(kernel, feed, K, h,
+                                          np.ones(volume.n_sites), spec.beta,
+                                          9, 2500, 40, 3, 700)
+                    for kernel, feed in paths]
+    for out in others:
+        for a, b in zip(ref, out):
+            assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# block-split chains are bit-identical to the single up-front draw
+
+
+def _run_digest(run):
+    h = hashlib.sha256()
+    for a in (run.magnetization_samples, run.energy_samples, run.spin_means,
+              run.final_spins):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.array([run.acceptance_rate, run.max_field_drift,
+                       run.max_energy_drift, run.magnetization_stderr,
+                       run.energy_stderr], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Digests recorded with the sampler that drew every proposal of a chain up
+# front and ran it in one kernel call. Sweep counts that are not multiples
+# of BLOCK, recompute intervals that do not divide it, burn-in ending
+# mid-block and thinning all cross block boundaries.
+@pytest.mark.parametrize("spec,volume,bc_seed,dis_seed,kw,digest", [
+    (ModelSpec.dyson(1.5, beta=0.5), Volume.interval(8), 21, None,
+     dict(chain_seed=3, n_sweeps=2537, burn_in=1234, thin=3,
+          recompute_every=300, start="random"),
+     "abd865829d21ded7632c66524475c777a60800a7fefca012797e888c9567b0fa"),
+    (ModelSpec.dyson(1.8, beta=2.0), Volume.interval(5), 24, None,
+     dict(chain_seed=7, n_sweeps=731, burn_in=0, thin=2, recompute_every=64,
+          start="plus"),
+     "8bc9094db5d71ca5a9739a5058d8651a34602983e75df28b36042ed344d14065"),
+    (ModelSpec.ea(beta=1.0), Volume.interval(7), 22, 5,
+     dict(chain_seed=4, n_sweeps=3001, burn_in=999, thin=1,
+          recompute_every=700, start="plus"),
+     "7cf1deea1ae6f758c7362f3292a3e54d7bd2a4346ea113dc559ccc94688deeaa"),
+    (ModelSpec.rfim(0.5, beta=0.7, dimension=2), Volume.box(3), 23, 6,
+     dict(chain_seed=5, n_sweeps=1999, burn_in=1500, thin=5, start="minus"),
+     "ae67f134edf01c9b1102467ad8d0648185588512ec9ce19f59e95cee06e08de5"),
+    (ModelSpec.ea(beta=0.6, dimension=2), Volume.box(3), 25, 8,
+     dict(chain_seed=6, n_sweeps=2000, burn_in=400, thin=4,
+          recompute_every=1000, start="random"),
+     "b1ab93440e103ba2d7daaf18a9784acbf301815c9e1cd27306e80d648ad9427f"),
+], ids=["dyson-random", "dyson-plus-short", "ea-plus", "rfim-box-minus",
+        "ea-box-random"])
+def test_block_split_chain_matches_recorded_digest(spec, volume, bc_seed,
+                                                   dis_seed, kw, digest):
+    assert montecarlo.BLOCK == 1000  # the cases above are placed around it
+    dis = DisorderRealization(dis_seed) if dis_seed is not None else None
+    run = metropolis_run(spec, volume, BoundaryCondition.random(bc_seed), dis,
+                         **kw)
+    assert _run_digest(run) == digest
+
+
+MC_ORACLE_CFG = {"experiment": "oracle-vs-mc",
+                 "families": ["nn_ising", "dyson", "mattis", "rfim", "ea"],
+                 "betas": [0.5], "size": 10, "alpha": 1.8, "n_seeds": 2,
+                 "n_sweeps": 5000}
+
+
+def test_oracle_experiment_csv_matches_recorded_digest(tmp_path, capsys):
+    # seed-0 CSV of the benchmark's mc_oracle config, recorded with the
+    # up-front draw and 8-trial chunks
+    cfg = tmp_path / "mc_oracle.json"
+    cfg.write_text(json.dumps(MC_ORACLE_CFG))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(cfg), "--workers", "2", "--output", str(out),
+                     "--master-seed", "0"]) == 0
+    raw = (out / "oracle-vs-mc.csv").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == \
+        "bd1130edc8bcddbd2f62cbd8526958d4da6b84779ce80d294f20e117dc7b024a"
+
+
+# ---------------------------------------------------------------------------
+# memory stays bounded for long chains
+
+
+_LONG_CHAIN = """
+from rbclab import BoundaryCondition, ModelSpec, Volume, metropolis_run
+from rbclab.experiments import oracle_trial_plan
+spec = ModelSpec.dyson(1.8, beta=2.0)
+size, sweeps, thin = oracle_trial_plan(spec, 10)
+assert (size, sweeps, thin) == (4, 2_000_000, 100)
+run = metropolis_run(spec, Volume.interval(size), BoundaryCondition.random(1),
+                     chain_seed=2, n_sweeps=sweeps, thin=thin)
+assert run.magnetization_samples.size == 16_000
+with open("/proc/self/status") as fh:
+    print([line.split()[1] for line in fh if line.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc")
+def test_long_chain_memory_is_bounded():
+    # the oracle plan's strong-coupling dyson schedule: 8M proposals, whose
+    # up-front draw alone took 192 MB. The child reports VmHWM, the peak RSS
+    # of its own image: its ru_maxrss would also count the RSS of this test
+    # process, which Linux carries across the exec that starts the child.
+    res = subprocess.run([sys.executable, "-c", _LONG_CHAIN],
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    peak_mb = int(res.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 150.0
