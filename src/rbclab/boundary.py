@@ -26,10 +26,14 @@ import numpy as np
 import scipy.special
 
 from . import rng
-from .models import DisorderRealization, Volume, window_tail_bound
+from .models import DisorderRealization, Volume
 
 DEFAULT_EPS = 1e-8
 _EM_MIN_BASE = 16.0
+
+# Batch samplers draw realizations in blocks of at most BLOCK stream words
+# (one row if a stream is longer), so their memory is flat in n_seeds.
+BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +70,8 @@ def _em_tail(alpha: float, s: float) -> tuple[float, float]:
     return value, bound
 
 
-def _check_alpha(alpha: float):
-    if not alpha > 1.0:
+def _check_alpha(alpha: float | None):
+    if alpha is None or not alpha > 1.0:
         raise ValueError(
             f"alpha must exceed 1 (the boundary sum diverges otherwise), got {alpha}"
         )
@@ -118,6 +122,36 @@ def hurwitz_coefficients(alpha: float, m: int, eps: float = DEFAULT_EPS
     return a, per_term
 
 
+def _row_blocks(master_seed: int, tag: int, count: int, n_seeds: int,
+                seed_offset: int = 0, negate: bool = False):
+    """Yield (i, rows), rows[r] = the first `count` +-1 values of the `tag`
+    stream of sub_seed(master_seed, seed_offset + i + r), negated if asked;
+    each block is one u64_at call over a (sub-seeds x count) index grid."""
+    per = max(1, BLOCK // count)
+    idx = np.arange(count, dtype=np.uint64)
+    for i in range(0, n_seeds, per):
+        seeds = rng.sub_seeds(master_seed, seed_offset + i,
+                              seed_offset + min(i + per, n_seeds))
+        rows = rng.pm1_from_u64(rng.u64_at(seeds[:, None], tag, idx))
+        yield i, (-rows if negate else rows).astype(np.float64)
+
+
+# Standalone and batch functions evaluate rows through the same helpers, so
+# they agree bit for bit: one 1-D dot per (row, window); box gaps are exact.
+def _half_line_w(coeffs, eta) -> list:
+    """W at the nested windows len(c), c in coeffs, of one boundary row."""
+    return [float(c @ eta[:len(c)]) for c in coeffs]
+
+
+def _interval_w(c, eta_left, eta_right) -> float:
+    return float(c @ eta_left + c @ eta_right)
+
+
+def _box_gap(layer):
+    """-2 sum eta over the last axis: one gap per row."""
+    return -2.0 * layer.sum(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # half-line boundary energy W
 
@@ -142,7 +176,8 @@ def sample_W_plus(alpha: float, window_m: int, eta,
     if values.shape != (window_m,):
         raise ValueError(f"eta must supply {window_m} boundary values")
     a, per_term = hurwitz_coefficients(alpha, window_m, eps)
-    return WPlusSample(float(a @ values.astype(np.float64)), window_m * per_term)
+    return WPlusSample(_half_line_w([a], values.astype(np.float64))[0],
+                       window_m * per_term)
 
 
 def w_plus_exact_std(alpha: float, sizes, eps: float = DEFAULT_EPS,
@@ -175,16 +210,12 @@ def batch_W_plus(alpha: float, sizes, master_seed: int, n_seeds: int,
     same realization (prefix nesting).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    m_max = int(sizes.max())
     coeffs = [hurwitz_coefficients(alpha, int(m), eps)[0] for m in sizes]
     out = np.empty((n_seeds, len(sizes)))
-    sign = -1 if negate else 1
-    for i in range(n_seeds):
-        seed = rng.sub_seed(master_seed, seed_offset + i)
-        eta = (sign * rng.stream_pm1(seed, rng.TAG_LEFT, 0, m_max)).astype(np.float64)
-        for k, m in enumerate(sizes):
-            # per-size dot, same op as sample_W_plus: nested values bit-match
-            out[i, k] = coeffs[k] @ eta[:m]
+    for i, rows in _row_blocks(master_seed, rng.TAG_LEFT, int(sizes.max()),
+                               n_seeds, seed_offset, negate):
+        for r, eta in enumerate(rows):
+            out[i + r] = _half_line_w(coeffs, eta)
     return out
 
 
@@ -218,23 +249,6 @@ def decomposition_crosscheck(alpha: float, m: int, eta) -> DecompositionCheck:
                               abs(by_boundary - by_interior), second_moments)
 
 
-def interior_term_samples(alpha: float, m: int, j_values, master_seed: int,
-                          n_seeds: int) -> np.ndarray:
-    """Samples of W'_j = sum_{i=1..m} (i+j)^-alpha eta_i: (n_seeds, len(j_values))."""
-    j_values = np.asarray(j_values, dtype=np.float64)
-    i = np.arange(1, m + 1, dtype=np.float64)
-    C = (i[:, None] + j_values[None, :]) ** -alpha
-    out = np.empty((n_seeds, len(j_values)))
-    chunk = max(1, int(2e7) // m)
-    for lo in range(0, n_seeds, chunk):
-        hi = min(lo + chunk, n_seeds)
-        eta = np.empty((hi - lo, m))
-        for r, idx in enumerate(range(lo, hi)):
-            eta[r] = rng.stream_pm1(rng.sub_seed(master_seed, idx), rng.TAG_LEFT, 0, m)
-        out[lo:hi] = eta @ C
-    return out
-
-
 # ---------------------------------------------------------------------------
 # interval (two-sided) boundary energy
 
@@ -261,12 +275,7 @@ def interval_boundary_energy(alpha: float, n: int, window_m: int,
     er = np.asarray(eta_right, dtype=np.float64)
     if el.shape != (window_m,) or er.shape != (window_m,):
         raise ValueError(f"eta arrays must each supply {window_m} values")
-    return float(c @ el + c @ er)
-
-
-def interval_window_bound(alpha: float, n: int, window_m: int) -> float:
-    """Certified bound on |W(window M) - W(any larger window)|, both sides."""
-    return 2.0 * window_tail_bound(alpha, n, window_m)
+    return _interval_w(c, el, er)
 
 
 def interval_exact_std(alpha: float, n: int, window_m: int) -> float:
@@ -280,13 +289,12 @@ def batch_interval_W(alpha: float, n: int, window_m: int, master_seed: int,
     """Interval W per realization; seed i uses streams of sub_seed(master, i)."""
     c = interval_coefficients(alpha, n, window_m)
     out = np.empty(n_seeds)
-    sign = -1 if negate else 1
-    for i in range(n_seeds):
-        seed = rng.sub_seed(master_seed, seed_offset + i)
-        el = (sign * rng.stream_pm1(seed, rng.TAG_LEFT, 0, window_m)).astype(np.float64)
-        er = (sign * rng.stream_pm1(seed, rng.TAG_RIGHT, 0, window_m)).astype(np.float64)
-        # same two dots as interval_boundary_energy, for the bit-match contract
-        out[i] = c @ el + c @ er
+    left, right = (_row_blocks(master_seed, tag, window_m, n_seeds,
+                               seed_offset, negate)
+                   for tag in (rng.TAG_LEFT, rng.TAG_RIGHT))
+    for (i, el), (_, er) in zip(left, right):
+        for r in range(len(el)):
+            out[i + r] = _interval_w(c, el[r], er[r])
     return out
 
 
@@ -304,7 +312,7 @@ def nn2d_boundary_gap(n: int, eta_layer) -> float:
               else np.asarray(eta_layer, dtype=np.float64))
     if values.shape != (4 * n,):
         raise ValueError(f"layer must supply {4 * n} values for an {n}x{n} box")
-    return float(-2.0 * values.sum())
+    return float(_box_gap(values))
 
 
 def nn2d_gap_exact_std(n: int) -> float:
@@ -316,10 +324,24 @@ def nn2d_gap_exact_std(n: int) -> float:
 def batch_nn2d_gaps(n: int, master_seed: int, n_seeds: int,
                     seed_offset: int = 0) -> np.ndarray:
     out = np.empty(n_seeds)
-    for i in range(n_seeds):
-        seed = rng.sub_seed(master_seed, seed_offset + i)
-        out[i] = -2.0 * rng.stream_pm1(seed, rng.TAG_LAYER, 0, 4 * n).sum()
+    for i, rows in _row_blocks(master_seed, rng.TAG_LAYER, 4 * n, n_seeds,
+                               seed_offset):
+        out[i:i + len(rows)] = _box_gap(rows)
     return out
+
+
+def batch_family_W(family: str, alpha: float | None, sizes, master_seed: int,
+                   n_seeds: int, eps: float = DEFAULT_EPS,
+                   seed_offset: int = 0) -> np.ndarray:
+    """(n_seeds, len(sizes)) W draws: half-line W at window N for "dyson"
+    (needs alpha), the box gap at side N for "nn2d"."""
+    if family == "dyson":
+        return batch_W_plus(alpha, sizes, master_seed, n_seeds, eps,
+                            seed_offset=seed_offset)
+    if family == "nn2d":
+        return np.column_stack([batch_nn2d_gaps(int(n), master_seed, n_seeds,
+                                                seed_offset) for n in sizes])
+    raise ValueError(f"family must be 'dyson' or 'nn2d', got {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +422,18 @@ class WindowProbability:
     out_of_regime: bool   # delta outside (0, 1/2); still computed, flagged
 
 
+def window_slack(family: str, alpha: float | None, n: int,
+                 eps: float = DEFAULT_EPS) -> float:
+    """Certified numerical error of a family's W at size n (exact for nn2d)."""
+    return n * hurwitz_coefficients(alpha, n, eps)[1] if family == "dyson" else 0.0
+
+
+def count_inside(w, thresholds, slacks):
+    """Per-column count of |W| <= threshold + slack: draws within certified
+    error of the edge count as inside, so estimates err upward."""
+    return (np.abs(w) <= np.asarray(thresholds) + np.asarray(slacks)).sum(axis=0)
+
+
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     if n <= 0:
         raise ValueError("need at least one trial")
@@ -417,10 +451,8 @@ def window_probability(family: str, n: int, n_seeds: int, master_seed: int = 0,
     """P(|W_N| <= threshold), threshold = N^delta unless given directly.
 
     family "dyson" uses the half-line W at window N (needs alpha); "nn2d"
-    uses the box gap.  Values within certified numerical error of the
-    threshold count as inside, so the estimate is deterministic and errs
-    conservatively (upward), which is the direction summability arguments
-    consume.
+    uses the box gap. Values within the certified slack of the threshold
+    count as inside (count_inside), so the estimate errs upward.
     """
     if (delta is None) == (threshold is None):
         raise ValueError("give exactly one of delta or threshold")
@@ -428,17 +460,9 @@ def window_probability(family: str, n: int, n_seeds: int, master_seed: int = 0,
     if delta is not None:
         threshold = float(n) ** delta
         out_of_regime = not (0.0 < delta < 0.5)
-    if family == "dyson":
-        _check_alpha(alpha if alpha is not None else 0.0)
-        w = batch_W_plus(alpha, [n], master_seed, n_seeds, eps)[:, 0]
-        _, per_term = hurwitz_coefficients(alpha, n, eps)
-        slack = n * per_term
-    elif family == "nn2d":
-        w = batch_nn2d_gaps(n, master_seed, n_seeds)
-        slack = 0.0
-    else:
-        raise ValueError(f"family must be 'dyson' or 'nn2d', got {family!r}")
-    inside = int((np.abs(w) <= threshold + slack).sum())
+    w = batch_family_W(family, alpha, [n], master_seed, n_seeds, eps)[:, 0]
+    slack = window_slack(family, alpha, n, eps)
+    inside = int(count_inside(w, threshold, slack))
     lo, hi = wilson_interval(inside, n_seeds)
     return WindowProbability(inside / n_seeds, lo, hi, inside, n_seeds,
                              threshold, slack, out_of_regime)

@@ -26,9 +26,9 @@ import scipy
 from . import __version__, boundary, rng
 from .config import resolve_config
 from .exact import expectation, gibbs_table, log_partition_function
-from .metastate import (FlipRecord, VolumeSequence, csd_flip_statistics,
-                        histogram_from_w, lambda_w_samples,
-                        make_volume_sequence)
+from .metastate import (NullRecurrenceRecord, VolumeSequence,
+                        csd_flip_statistics, histogram_from_w,
+                        lambda_w_samples, make_volume_sequence)
 from .models import (BoundaryCondition, DisorderRealization, ModelSpec,
                      SpinConfiguration, Volume, finite_volume_energy,
                      gauge_boundary, gauge_partner, gauge_transform)
@@ -101,18 +101,26 @@ def _resolve_sequence(seq_cfg: dict) -> VolumeSequence:
         ratio=seq_cfg.get("ratio", 2.0), start=seq_cfg.get("start", 2))
 
 
+def _family_spec(family: str, beta: float, alpha: float | None) -> ModelSpec:
+    if family == "dyson":
+        return ModelSpec.dyson(alpha, beta=beta)
+    if family == "nn_ising":
+        return ModelSpec.nn_ising(1, beta=beta)
+    if family == "mattis":
+        return ModelSpec.mattis(beta=beta)
+    if family == "rfim":
+        return ModelSpec.rfim(0.5, beta=beta)
+    return ModelSpec.ea(beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
 
 def _scaling_chunk(task):
     family, alpha, sizes, master_seed, lo, hi = task
-    if family == "dyson":
-        return boundary.batch_W_plus(alpha, sizes, master_seed, hi - lo,
-                                     seed_offset=lo)
-    cols = [boundary.batch_nn2d_gaps(int(n), master_seed, hi - lo, seed_offset=lo)
-            for n in sizes]
-    return np.column_stack(cols)
+    return boundary.batch_family_W(family, alpha, sizes, master_seed, hi - lo,
+                                   seed_offset=lo)
 
 
 def _run_scaling(cfg):
@@ -174,45 +182,31 @@ def _run_scaling(cfg):
 
 def _window_chunk(task):
     family, alpha, sizes, thresholds, slacks, master_seed, lo, hi = task
-    if family == "dyson":
-        w = boundary.batch_W_plus(alpha, sizes, master_seed, hi - lo, seed_offset=lo)
-    else:
-        w = np.column_stack([
-            boundary.batch_nn2d_gaps(int(n), master_seed, hi - lo, seed_offset=lo)
-            for n in sizes])
-    return [int((np.abs(w[:, k]) <= thresholds[k] + slacks[k]).sum())
-            for k in range(len(sizes))]
+    w = boundary.batch_family_W(family, alpha, sizes, master_seed, hi - lo,
+                                seed_offset=lo)
+    return boundary.count_inside(w, thresholds, slacks)
 
 
 def _run_window(cfg):
-    seq = _resolve_sequence(cfg["sequence"]) if cfg["sequence"] else None
-    sizes = list(seq.terms) if seq else list(cfg["sizes"])
+    seq = (_resolve_sequence(cfg["sequence"]) if cfg["sequence"]
+           else VolumeSequence("sizes", cfg["sizes"]))
+    sizes = list(seq.terms)
     n_seeds = cfg["n_seeds"]
     delta = cfg["delta"]
     out_of_regime = delta is not None and not (0.0 < delta < 0.5)
     thresholds = ([float(n) ** delta for n in sizes] if delta is not None
                   else [float(cfg["threshold"])] * len(sizes))
-    if cfg["family"] == "dyson":
-        slacks = [n * boundary.hurwitz_coefficients(cfg["alpha"], int(n))[1]
-                  for n in sizes]
-    else:
-        slacks = [0.0] * len(sizes)
+    slacks = [boundary.window_slack(cfg["family"], cfg["alpha"], n) for n in sizes]
 
     tasks = [(cfg["family"], cfg["alpha"], sizes, thresholds, slacks,
               cfg["master_seed"], lo, hi)
              for lo, hi in _chunks(n_seeds, _CHUNK["window"])]
-    counts = np.array(_map_tasks(_window_chunk, tasks, cfg["workers"])).sum(axis=0)
+    counts = np.sum(_map_tasks(_window_chunk, tasks, cfg["workers"]), axis=0)
+    rec = NullRecurrenceRecord.from_counts(seq, thresholds, counts, n_seeds)
 
-    p_hat = counts / n_seeds
-    running = np.cumsum(p_hat)
-    rows = []
-    for k, n in enumerate(sizes):
-        lo_ci, hi_ci = boundary.wilson_interval(int(counts[k]), n_seeds)
-        rows.append((k + 1, n, thresholds[k], slacks[k], int(counts[k]),
-                     n_seeds, p_hat[k], lo_ci, hi_ci, running[k]))
-    half = len(sizes) // 2
-    growth = (float((running[-1] - running[half - 1]) / running[half - 1])
-              if half >= 1 and running[half - 1] > 0 else float("inf"))
+    rows = [(k + 1, n, thresholds[k], slacks[k], int(counts[k]), n_seeds,
+             rec.p_hat[k], rec.ci_low[k], rec.ci_high[k], rec.running_sums[k])
+            for k, n in enumerate(sizes)]
     comments = [
         "window experiment: per-size probability of a small boundary energy",
         "k: position in the size list (1-based)",
@@ -228,13 +222,14 @@ def _run_window(cfg):
     results = {
         "sizes": sizes,
         "thresholds": thresholds,
-        "p_hat": p_hat,
-        "running_sums": running,
-        "last_term_fraction": float(p_hat[-1] / running[-1]) if running[-1] > 0 else 0.0,
-        "growth_last_half": growth,
+        "p_hat": rec.p_hat,
+        "running_sums": rec.running_sums,
+        "last_term_fraction": rec.last_term_fraction,
+        "growth_last_half": rec.growth_last_half,
         "delta": delta,
         "out_of_regime": out_of_regime,
-        "sequence": (dict(cfg["sequence"]) | {"terms": sizes}) if seq else None,
+        "sequence": ((dict(cfg["sequence"]) | {"terms": sizes})
+                     if cfg["sequence"] else None),
     }
     header = ("k", "size", "threshold", "slack", "n_inside", "n_seeds",
               "p_hat", "ci_low", "ci_high", "running_sum")
@@ -245,23 +240,9 @@ def _run_window(cfg):
 # metastate
 
 
-def _metastate_spec(cfg) -> ModelSpec:
-    family = cfg["family"]
-    beta = cfg["beta"]
-    if family == "dyson":
-        return ModelSpec.dyson(cfg["alpha"], beta=beta)
-    if family == "nn_ising":
-        return ModelSpec.nn_ising(1, beta=beta)
-    if family == "mattis":
-        return ModelSpec.mattis(beta=beta)
-    if family == "rfim":
-        return ModelSpec.rfim(0.5, beta=beta)
-    return ModelSpec.ea(beta=beta)
-
-
 def _metastate_chunk(task):
     cfg, sizes, lo, hi = task
-    spec = _metastate_spec(cfg)
+    spec = _family_spec(cfg["family"], cfg["beta"], cfg["alpha"])
     w = lambda_w_samples(spec, sizes, hi - lo, cfg["master_seed"], cfg["mode"],
                          cfg["beta"], cfg["flip_disorder"],
                          cfg["interaction_seed"], cfg["window"], seed_offset=lo)
@@ -424,18 +405,6 @@ def _run_gauge(cfg):
 
 # ---------------------------------------------------------------------------
 # oracle vs monte carlo
-
-
-def _family_spec(family: str, beta: float, alpha: float) -> ModelSpec:
-    if family == "dyson":
-        return ModelSpec.dyson(alpha, beta=beta)
-    if family == "nn_ising":
-        return ModelSpec.nn_ising(1, beta=beta)
-    if family == "mattis":
-        return ModelSpec.mattis(beta=beta)
-    if family == "rfim":
-        return ModelSpec.rfim(0.5, beta=beta)
-    return ModelSpec.ea(beta=beta)
 
 
 def oracle_trial_plan(spec: ModelSpec, size: int,

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .boundary import (batch_interval_W, batch_W_plus, hurwitz_coefficients,
-                       metastate_weight, wilson_interval)
+from .boundary import (batch_interval_W, batch_W_plus, count_inside,
+                       hurwitz_coefficients, metastate_weight, wilson_interval,
+                       window_slack)
 from .exact import fit_mixture_weight, gibbs_table
 from .models import BoundaryCondition, DisorderRealization, ModelSpec, Volume
 
@@ -334,16 +335,24 @@ class NullRecurrenceRecord:
 
     running_sums[k] = p_1 + ... + p_{k+1}; a sparse sequence shows the sum
     converging (small last_term_fraction), a linear one shows it still
-    growing (large growth_last_half).
+    growing (large growth_last_half).  c is one threshold or one per term.
     """
 
     sequence: VolumeSequence
-    c: float
+    c: float | list
     p_hat: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     running_sums: np.ndarray
     n_seeds: int
+
+    @classmethod
+    def from_counts(cls, sequence: VolumeSequence, c, counts, n_seeds: int
+                    ) -> "NullRecurrenceRecord":
+        """Record from the per-term counts of draws inside the window."""
+        p = np.asarray(counts) / n_seeds
+        lo, hi = np.array([wilson_interval(int(k), n_seeds) for k in counts]).T
+        return cls(sequence, c, p, lo, hi, np.cumsum(p), n_seeds)
 
     @property
     def last_term_fraction(self) -> float:
@@ -360,22 +369,11 @@ class NullRecurrenceRecord:
 def null_recurrence_frequency(alpha: float, sequence: VolumeSequence, c: float,
                               n_seeds: int, master_seed: int = 0
                               ) -> NullRecurrenceRecord:
-    """Estimate the window probabilities along the sequence, conservatively.
-
-    Values within the certified coefficient-truncation error of the
-    threshold count as inside, so p_hat errs upward, the safe direction for
-    a summability claim.
-    """
+    """Estimate the window probabilities along the sequence, conservatively:
+    p_hat errs upward (count_inside), the safe direction for summability."""
     if c <= 0:
         raise ValueError(f"window threshold c must be > 0, got {c}")
-    sizes = np.asarray(sequence.terms)
-    w = batch_W_plus(alpha, sizes, master_seed, n_seeds)
-    p = np.empty(len(sizes))
-    lo = np.empty(len(sizes))
-    hi = np.empty(len(sizes))
-    for k, m in enumerate(sizes):
-        _, per_term = hurwitz_coefficients(alpha, int(m))
-        inside = int((np.abs(w[:, k]) <= c + m * per_term).sum())
-        p[k] = inside / n_seeds
-        lo[k], hi[k] = wilson_interval(inside, n_seeds)
-    return NullRecurrenceRecord(sequence, c, p, lo, hi, np.cumsum(p), n_seeds)
+    w = batch_W_plus(alpha, sequence.terms, master_seed, n_seeds)
+    slacks = [window_slack("dyson", alpha, m) for m in sequence.terms]
+    return NullRecurrenceRecord.from_counts(
+        sequence, c, count_inside(w, c, slacks), n_seeds)

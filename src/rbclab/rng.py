@@ -38,15 +38,16 @@ def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
         return z ^ (z >> np.uint64(31))
 
 
-def _stream_key(seed: int, tag: int) -> np.uint64:
+def _stream_key(seed, tag: int):
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     t = np.uint64(tag & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         return _mix64(s ^ _mix64(t * _GAMMA + _GAMMA))
 
 
-def u64_at(seed: int, tag: int, indices: np.ndarray) -> np.ndarray:
-    """Stream words at arbitrary indices (uint64 array in, uint64 array out)."""
+def u64_at(seed, tag: int, indices: np.ndarray) -> np.ndarray:
+    """Stream words at arbitrary indices (uint64 array in, uint64 array out);
+    `seed` is an int or a uint64 array broadcast against `indices`."""
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix64(_stream_key(seed, tag) + (idx + np.uint64(1)) * _GAMMA)
@@ -79,9 +80,14 @@ def pm1_at(seed: int, tag: int, indices: np.ndarray) -> np.ndarray:
     return pm1_from_u64(u64_at(seed, tag, indices))
 
 
+def sub_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """sub_seed(master_seed, i) for i in lo..hi-1, as one uint64 array."""
+    return u64_at(master_seed, TAG_SUBSEED, np.arange(lo, hi, dtype=np.uint64))
+
+
 def sub_seed(master_seed: int, index: int) -> int:
     """Per-realization seed: stable under any worker layout."""
-    return int(u64_at(master_seed, TAG_SUBSEED, np.asarray([index], dtype=np.uint64))[0])
+    return int(sub_seeds(master_seed, index, index + 1)[0])
 
 
 def zigzag(n: np.ndarray | int) -> np.ndarray | int:

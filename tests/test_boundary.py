@@ -93,23 +93,33 @@ def test_half_line_exact_std_two_methods_agree():
         w_plus_exact_std(1.5, [10], method="simpson")
 
 
+# an odd stream length that puts 3 realizations in each row block
+M_BLOCK3 = boundary.BLOCK // 4 + 1
+
+
 def test_batch_is_bitwise_equal_to_standalone_samples():
     # nested-window contract: column k of the batch must reproduce the
-    # standalone evaluation bit for bit, prefix by prefix
-    sizes = [10, 100, 1000]
-    out = batch_W_plus(1.25, sizes, master_seed=5, n_seeds=6)
-    for i in range(6):
-        eta = DisorderRealization(rng.sub_seed(5, i))
-        for k, m in enumerate(sizes):
-            assert out[i, k] == sample_W_plus(1.25, m, eta).value
+    # standalone evaluation bit for bit, prefix by prefix; the second case
+    # spans 4 row blocks from an unaligned offset, with negated boundaries
+    for sizes, n_seeds, offset, negate in (([10, 100, 1000], 6, 0, False),
+                                           ([10, 777, M_BLOCK3], 10, 5, True)):
+        out = batch_W_plus(1.25, sizes, master_seed=5, n_seeds=n_seeds,
+                           negate=negate, seed_offset=offset)
+        for i in range(n_seeds):
+            eta = DisorderRealization(rng.sub_seed(5, offset + i), negate)
+            for k, m in enumerate(sizes):
+                assert out[i, k] == sample_W_plus(1.25, m, eta).value
 
 
 def test_batch_seed_offset_partitions_realizations():
-    whole = batch_W_plus(1.25, [50], master_seed=9, n_seeds=8)
-    tail_part = batch_W_plus(1.25, [50], master_seed=9, n_seeds=3, seed_offset=5)
-    assert np.array_equal(whole[5:], tail_part)
-    negated = batch_W_plus(1.25, [50], master_seed=9, n_seeds=8, negate=True)
-    assert np.array_equal(negated, -whole)
+    for m, n_seeds, offset in ((50, 8, 5), (M_BLOCK3, 10, 4)):
+        whole = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds)
+        part = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds - offset - 1,
+                            seed_offset=offset)
+        assert np.array_equal(whole[offset:-1], part)
+        negated = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds,
+                               negate=True)
+        assert np.array_equal(negated, -whole)
 
 
 def test_sampled_variance_matches_exact_moments():
@@ -157,6 +167,14 @@ def test_interval_energy_antisymmetric_and_batched():
     el0 = rng.stream_pm1(seed0, rng.TAG_LEFT, 0, m).astype(np.float64)
     er0 = rng.stream_pm1(seed0, rng.TAG_RIGHT, 0, m).astype(np.float64)
     assert batch[0] == interval_boundary_energy(alpha, n, m, el0, er0)
+    # 4 row blocks from an unaligned offset, negated boundaries
+    m = M_BLOCK3
+    batch = batch_interval_W(alpha, n, m, master_seed=11, n_seeds=10,
+                             negate=True, seed_offset=5)
+    for i in range(10):
+        d = DisorderRealization(rng.sub_seed(11, 5 + i), negate=True)
+        assert batch[i] == interval_boundary_energy(
+            alpha, n, m, d.left_boundary(m), d.right_boundary(m))
 
 
 def test_interval_exact_std_pinned():
@@ -189,6 +207,12 @@ def test_nn2d_batch_matches_disorder_stream():
     for i in range(4):
         d = DisorderRealization(rng.sub_seed(8, i))
         assert out[i] == nn2d_boundary_gap(5, d.layer_values(20).astype(np.float64))
+    # a layer of 4n words puts 3 boxes in each row block: 4 blocks, offset 5
+    n = M_BLOCK3 // 4 + 1
+    out = batch_nn2d_gaps(n, master_seed=8, n_seeds=10, seed_offset=5)
+    for i in range(10):
+        d = DisorderRealization(rng.sub_seed(8, 5 + i))
+        assert out[i] == nn2d_boundary_gap(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Config validation and end-to-end experiment runs through the CLI."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rbclab.config import ConfigError, resolve_config, validate_config
+from rbclab.config import (_EXPERIMENT_KEYS, ConfigError, resolve_config,
+                           validate_config)
 from rbclab.experiments import run_experiment
 
 REPO = Path(__file__).resolve().parents[1]
@@ -181,3 +184,52 @@ def test_run_rejects_invalid_config(tmp_path):
     res = _cli("run", cfg, "--output", str(tmp_path / "x"))
     assert res.returncode == 2
     assert "alpha" in res.stderr
+
+
+# CSV digests recorded with the per-realization boundary loops, before
+# realizations were drawn in row blocks. Each config puts several row blocks
+# into one scheduler chunk, chunks start at seed offsets that are not block
+# multiples, and stream lengths are odd or not powers of two; the second
+# metastate case negates the boundary.
+@pytest.mark.parametrize("payload,digest", [
+    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+      "sizes": [100, 1001, 4099, 12345], "n_seeds": 1100, "master_seed": 3},
+     "bb089ae94077b8d353782730b9235c826ee13dd095f4c304b542921ed705c3e0"),
+    ({"experiment": "scaling", "family": "nn2d", "sizes": [16, 50, 160, 999],
+      "n_seeds": 1100, "master_seed": 4},
+     "198d3ca1db0808de589e8b5136c03b7cce21b7741111043f08acee2f663264d0"),
+    ({"experiment": "window", "family": "dyson", "alpha": 1.25,
+      "sizes": [300, 2500, 9999], "threshold": 1.0, "n_seeds": 700,
+      "master_seed": 5},
+     "de4cfffe45971032d8039b24cee0d8c022881f32f3e7eca741dc55c98bc73a55"),
+    ({"experiment": "window", "family": "nn2d", "sizes": [20, 333, 2048],
+      "delta": 0.3, "n_seeds": 700, "master_seed": 6},
+     "3b6270f683b1d57148bb75fb78585fdc00f244ade61b42118154b2d146a293cc"),
+    ({"experiment": "metastate", "alpha": 1.5, "beta": 1.0, "size": 1234,
+      "n_seeds": 600, "master_seed": 7},
+     "091bd28c1f5f694f94234991d75f637f512f87807584c05092a70de338287680"),
+    ({"experiment": "metastate", "alpha": 1.25, "beta": 2.0,
+      "sequence": {"kind": "geometric", "budget": 3000, "ratio": 3, "start": 7},
+      "flip_disorder": True, "n_seeds": 300, "master_seed": 8},
+     "b311054ce5f86871f828ec064f233f307ffd203a6b57d1a3130531ec6ad0ccc0"),
+    ({"experiment": "csd", "alpha": 1.25,
+      "sequence": {"kind": "geometric", "budget": 32766, "ratio": 2, "start": 2},
+      "n_seeds": 60, "master_seed": 9},
+     "b2a6eb842a2afe726147d722a3522dec1af8b88daf77547faec22842dfda5660"),
+], ids=["scaling-dyson", "scaling-nn2d", "window-dyson", "window-nn2d",
+        "metastate", "metastate-flip", "csd"])
+def test_csv_digests_are_anchored(tmp_path, payload, digest):
+    summary = run_experiment(dict(payload), output_dir=str(tmp_path))
+    raw = Path(summary["csv_path"]).read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_readme_lists_every_config_key():
+    text = (REPO / "README.md").read_text()
+    for exp, keys in _EXPERIMENT_KEYS.items():
+        # the bullet and its indented continuation lines
+        line = re.search(rf"^- `{re.escape(exp)}`: (.*(?:\n  .*)*)", text, re.M)
+        assert line, exp
+        # backticked words outside parentheses are keys; inside, values
+        listed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", line.group(1)))
+        assert set(listed) == keys, exp

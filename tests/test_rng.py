@@ -106,6 +106,22 @@ def test_sub_seed_decorrelates_children():
     assert len(np.unique(first)) == 1000
 
 
+@pytest.mark.parametrize("master", [0, -1, 2 ** 63 + 5])
+def test_seed_arrays_match_scalar_calls(master):
+    # the vectorised sub-seeds, and one u64_at call over a (seeds x words)
+    # grid, equal the per-index and per-seed scalar calls
+    seeds = rng.sub_seeds(master, 3, 40)
+    assert [int(s) for s in seeds] == [
+        int(rng.u64_at(master, rng.TAG_SUBSEED, np.asarray([i], dtype=np.uint64))[0])
+        for i in range(3, 40)]
+    assert [int(s) for s in seeds] == [rng.sub_seed(master, i) for i in range(3, 40)]
+    idx = np.arange(17, dtype=np.uint64)
+    grid = rng.u64_at(seeds[:, None], rng.TAG_LEFT, idx)
+    assert grid.shape == (37, 17)
+    for row, s in zip(grid, seeds):
+        assert np.array_equal(row, rng.u64_at(int(s), rng.TAG_LEFT, idx))
+
+
 def test_no_overflow_warnings():
     with np.errstate(over="raise"):
         rng.stream_u64(123, rng.TAG_SITE, 0, 100)
