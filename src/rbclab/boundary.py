@@ -31,8 +31,8 @@ from .models import DisorderRealization, Volume
 DEFAULT_EPS = 1e-8
 _EM_MIN_BASE = 16.0
 
-# Batch samplers draw realizations in blocks of at most BLOCK stream words
-# (one row if a stream is longer), so their memory is flat in n_seeds.
+# Batch samplers draw realizations in blocks of at most BLOCK words per stream
+# tag (one row if a stream is longer), so their memory is flat in n_seeds.
 BLOCK = 1 << 16
 
 
@@ -122,18 +122,19 @@ def hurwitz_coefficients(alpha: float, m: int, eps: float = DEFAULT_EPS
     return a, per_term
 
 
-def _row_blocks(master_seed: int, tag: int, count: int, n_seeds: int,
+def _row_blocks(master_seed: int, tags, count: int, n_seeds: int,
                 seed_offset: int = 0, negate: bool = False):
-    """Yield (i, rows), rows[r] = the first `count` +-1 values of the `tag`
-    stream of sub_seed(master_seed, seed_offset + i + r), negated if asked;
-    each block is one u64_at call over a (sub-seeds x count) index grid."""
+    """Yield (i, rows), rows[t][r] = the first `count` +-1 values of the
+    tags[t] stream of sub_seed(master_seed, seed_offset + i + r), negated if
+    asked; the sub-seeds of a block are computed once, and each tag's rows
+    are one u64_at call over a (sub-seeds x count) index grid."""
     per = max(1, BLOCK // count)
     idx = np.arange(count, dtype=np.uint64)
     for i in range(0, n_seeds, per):
         seeds = rng.sub_seeds(master_seed, seed_offset + i,
-                              seed_offset + min(i + per, n_seeds))
-        rows = rng.pm1_from_u64(rng.u64_at(seeds[:, None], tag, idx))
-        yield i, (-rows if negate else rows).astype(np.float64)
+                              seed_offset + min(i + per, n_seeds))[:, None]
+        rows = [rng.pm1_from_u64(rng.u64_at(seeds, tag, idx)) for tag in tags]
+        yield i, [(-r if negate else r).astype(np.float64) for r in rows]
 
 
 # Standalone and batch functions evaluate rows through the same helpers, so
@@ -212,8 +213,9 @@ def batch_W_plus(alpha: float, sizes, master_seed: int, n_seeds: int,
     sizes = np.asarray(sizes, dtype=np.int64)
     coeffs = [hurwitz_coefficients(alpha, int(m), eps)[0] for m in sizes]
     out = np.empty((n_seeds, len(sizes)))
-    for i, rows in _row_blocks(master_seed, rng.TAG_LEFT, int(sizes.max()),
-                               n_seeds, seed_offset, negate):
+    for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LEFT,),
+                                  int(sizes.max()), n_seeds, seed_offset,
+                                  negate):
         for r, eta in enumerate(rows):
             out[i + r] = _half_line_w(coeffs, eta)
     return out
@@ -289,10 +291,8 @@ def batch_interval_W(alpha: float, n: int, window_m: int, master_seed: int,
     """Interval W per realization; seed i uses streams of sub_seed(master, i)."""
     c = interval_coefficients(alpha, n, window_m)
     out = np.empty(n_seeds)
-    left, right = (_row_blocks(master_seed, tag, window_m, n_seeds,
-                               seed_offset, negate)
-                   for tag in (rng.TAG_LEFT, rng.TAG_RIGHT))
-    for (i, el), (_, er) in zip(left, right):
+    for i, (el, er) in _row_blocks(master_seed, (rng.TAG_LEFT, rng.TAG_RIGHT),
+                                   window_m, n_seeds, seed_offset, negate):
         for r in range(len(el)):
             out[i + r] = _interval_w(c, el[r], er[r])
     return out
@@ -324,8 +324,8 @@ def nn2d_gap_exact_std(n: int) -> float:
 def batch_nn2d_gaps(n: int, master_seed: int, n_seeds: int,
                     seed_offset: int = 0) -> np.ndarray:
     out = np.empty(n_seeds)
-    for i, rows in _row_blocks(master_seed, rng.TAG_LAYER, 4 * n, n_seeds,
-                               seed_offset):
+    for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LAYER,), 4 * n,
+                                  n_seeds, seed_offset):
         out[i:i + len(rows)] = _box_gap(rows)
     return out
 

@@ -188,9 +188,8 @@ def _window_chunk(task):
 
 
 def _run_window(cfg):
-    seq = (_resolve_sequence(cfg["sequence"]) if cfg["sequence"]
-           else VolumeSequence("sizes", cfg["sizes"]))
-    sizes = list(seq.terms)
+    sizes = (list(_resolve_sequence(cfg["sequence"]).terms) if cfg["sequence"]
+             else list(cfg["sizes"]))
     n_seeds = cfg["n_seeds"]
     delta = cfg["delta"]
     out_of_regime = delta is not None and not (0.0 < delta < 0.5)
@@ -202,7 +201,7 @@ def _run_window(cfg):
               cfg["master_seed"], lo, hi)
              for lo, hi in _chunks(n_seeds, _CHUNK["window"])]
     counts = np.sum(_map_tasks(_window_chunk, tasks, cfg["workers"]), axis=0)
-    rec = NullRecurrenceRecord.from_counts(seq, thresholds, counts, n_seeds)
+    rec = NullRecurrenceRecord.from_counts(counts, n_seeds)
 
     rows = [(k + 1, n, thresholds[k], slacks[k], int(counts[k]), n_seeds,
              rec.p_hat[k], rec.ci_low[k], rec.ci_high[k], rec.running_sums[k])

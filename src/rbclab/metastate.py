@@ -144,8 +144,7 @@ class MetastateHistogram:
 
     @property
     def endpoint_high_mass(self) -> float:
-        hi = 1.0 - ENDPOINT_EPS if self.axis == "magnetization" else 1.0 - ENDPOINT_EPS
-        return float((self.values > hi).mean())
+        return float((self.values > 1.0 - ENDPOINT_EPS).mean())
 
     @property
     def endpoint_mass(self) -> float:
@@ -331,15 +330,13 @@ def csd_flip_statistics(spec: ModelSpec, sequence: VolumeSequence,
 
 @dataclass(frozen=True)
 class NullRecurrenceRecord:
-    """Per-size window probabilities p_k = P(|W_{N_k}| <= c) and their sum.
+    """Per-size window probabilities p_k = P(|W_{N_k}| <= c_k) and their sum.
 
     running_sums[k] = p_1 + ... + p_{k+1}; a sparse sequence shows the sum
     converging (small last_term_fraction), a linear one shows it still
-    growing (large growth_last_half).  c is one threshold or one per term.
+    growing (large growth_last_half).
     """
 
-    sequence: VolumeSequence
-    c: float | list
     p_hat: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
@@ -347,12 +344,11 @@ class NullRecurrenceRecord:
     n_seeds: int
 
     @classmethod
-    def from_counts(cls, sequence: VolumeSequence, c, counts, n_seeds: int
-                    ) -> "NullRecurrenceRecord":
-        """Record from the per-term counts of draws inside the window."""
+    def from_counts(cls, counts, n_seeds: int) -> "NullRecurrenceRecord":
+        """Record from the per-size counts of draws inside the window."""
         p = np.asarray(counts) / n_seeds
         lo, hi = np.array([wilson_interval(int(k), n_seeds) for k in counts]).T
-        return cls(sequence, c, p, lo, hi, np.cumsum(p), n_seeds)
+        return cls(p, lo, hi, np.cumsum(p), n_seeds)
 
     @property
     def last_term_fraction(self) -> float:
@@ -376,4 +372,4 @@ def null_recurrence_frequency(alpha: float, sequence: VolumeSequence, c: float,
     w = batch_W_plus(alpha, sequence.terms, master_seed, n_seeds)
     slacks = [window_slack("dyson", alpha, m) for m in sequence.terms]
     return NullRecurrenceRecord.from_counts(
-        sequence, c, count_inside(w, c, slacks), n_seeds)
+        count_inside(w, c, slacks), n_seeds)

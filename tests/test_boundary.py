@@ -112,14 +112,21 @@ def test_batch_is_bitwise_equal_to_standalone_samples():
 
 
 def test_batch_seed_offset_partitions_realizations():
-    for m, n_seeds, offset in ((50, 8, 5), (M_BLOCK3, 10, 4)):
-        whole = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds)
-        part = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds - offset - 1,
-                            seed_offset=offset)
-        assert np.array_equal(whole[offset:-1], part)
-        negated = batch_W_plus(1.25, [m], master_seed=9, n_seeds=n_seeds,
-                               negate=True)
-        assert np.array_equal(negated, -whole)
+    whole = batch_W_plus(1.25, [50], master_seed=9, n_seeds=8)
+    tail_part = batch_W_plus(1.25, [50], master_seed=9, n_seeds=3, seed_offset=5)
+    assert np.array_equal(whole[5:], tail_part)
+    negated = batch_W_plus(1.25, [50], master_seed=9, n_seeds=8, negate=True)
+    assert np.array_equal(negated, -whole)
+    # 4 row blocks of 3; parts from the unaligned offset 4, one ending where
+    # `whole` ends and one ending mid-block
+    whole = batch_W_plus(1.25, [M_BLOCK3], master_seed=9, n_seeds=10)
+    for n_part in (6, 4):
+        part = batch_W_plus(1.25, [M_BLOCK3], master_seed=9, n_seeds=n_part,
+                            seed_offset=4)
+        assert np.array_equal(whole[4:4 + n_part], part)
+    negated = batch_W_plus(1.25, [M_BLOCK3], master_seed=9, n_seeds=10,
+                           negate=True)
+    assert np.array_equal(negated, -whole)
 
 
 def test_sampled_variance_matches_exact_moments():
