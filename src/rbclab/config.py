@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 
 from .exact import ENUMERATION_LIMIT
+from .metastate import VolumeSequence, make_volume_sequence
 from .models import FAMILIES
 
 EXPERIMENTS = ("scaling", "window", "metastate", "csd", "gauge-check",
                "oracle-vs-mc")
 SEQUENCE_KINDS = ("sparse", "linear", "geometric")
 METASTATE_MODES = ("T0_weight", "exact_gibbs_fit")
+# families whose couplings or fields come from a DisorderRealization
+_DISORDERED_FAMILIES = ("mattis", "rfim", "ea")
 
 # keys every experiment accepts
 _COMMON_KEYS = {"experiment", "master_seed", "n_seeds", "workers", "output_dir"}
@@ -104,15 +107,24 @@ def _check_sizes(data, out):
         out.append("sizes must be a strictly increasing list of >= 2 positive integers")
 
 
-def _check_sequence(data, out, required=False):
+def resolve_sequence(seq: dict) -> VolumeSequence:
+    """The volume sequence a config's `sequence` object describes."""
+    return make_volume_sequence(
+        seq["kind"], seq["budget"], step=seq.get("step", 100),
+        ratio=seq.get("ratio", 2.0), start=seq.get("start", 2))
+
+
+def _check_sequence(data, out, required=False) -> tuple:
+    """Checks the sequence object; returns its terms, () if it has none."""
     seq = data.get("sequence")
     if seq is None:
         if required:
             out.append(f"missing key 'sequence'; expected an object with kind in {SEQUENCE_KINDS}")
-        return
+        return ()
     if not isinstance(seq, dict):
         out.append(f"sequence must be an object with kind in {SEQUENCE_KINDS} and a budget")
-        return
+        return ()
+    n_diagnostics = len(out)
     kind = seq.get("kind")
     if kind not in SEQUENCE_KINDS:
         out.append(f"sequence.kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
@@ -131,6 +143,13 @@ def _check_sequence(data, out, required=False):
     extra = set(seq) - {"kind", "budget", "step", "ratio", "start"}
     if extra:
         out.append(f"unknown sequence keys {sorted(extra)}; accepted: kind, budget, step, ratio, start")
+    if len(out) > n_diagnostics:
+        return ()
+    try:
+        return resolve_sequence(seq).terms
+    except ValueError as err:
+        out.append(f"sequence {err}")
+        return ()
 
 
 def validate_config(data: dict) -> list[str]:
@@ -192,15 +211,23 @@ def validate_config(data: dict) -> list[str]:
         if mode == "T0_weight" and family != "dyson":
             out.append("T0_weight mode supports the dyson family only (interval W)")
         _check_alpha(data, out, required=(family == "dyson"))
-        _check_sequence(data, out)
+        terms = _check_sequence(data, out)
         if ("size" in data) == ("sequence" in data):
             out.append("give exactly one of 'size' or 'sequence'")
         size = data.get("size")
         if size is not None and (not _is_int(size) or size < 1):
             out.append(f"size must be a positive integer, got {size!r}")
-        if mode == "exact_gibbs_fit" and _is_int(size) and size > ENUMERATION_LIMIT:
-            out.append(f"size {size} exceeds the exact-enumeration bound "
-                       f"{ENUMERATION_LIMIT} required by mode exact_gibbs_fit")
+        if mode == "exact_gibbs_fit":
+            if _is_int(size) and size > ENUMERATION_LIMIT:
+                out.append(f"size {size} exceeds the exact-enumeration bound "
+                           f"{ENUMERATION_LIMIT} required by mode exact_gibbs_fit")
+            over = [n for n in terms if n > ENUMERATION_LIMIT]
+            if over:
+                out.append(f"sequence term {over[0]} exceeds the exact-enumeration "
+                           f"bound {ENUMERATION_LIMIT} required by mode exact_gibbs_fit")
+            if family in _DISORDERED_FAMILIES and "interaction_seed" not in data:
+                out.append(f"family {family!r} has random couplings or fields; mode "
+                           "exact_gibbs_fit needs an integer 'interaction_seed' to fix them")
         if "window" in data and (not _is_int(data["window"]) or data["window"] < 1):
             out.append(f"window must be a positive integer, got {data['window']!r}")
         if "interaction_seed" in data and not _is_int(data["interaction_seed"]):

@@ -19,6 +19,8 @@ from .models import (BoundaryCondition, DisorderRealization, ModelSpec,
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18
+# elements in the mixture fit's lambda-grid buffer (512 KiB, cache-sized)
+_TV_BLOCK = 1 << 16
 
 # Configuration indexing: config index bit k is spin k, bit value 0 -> +1.
 # Index 0 is the all-plus configuration; complementing the index flips
@@ -175,14 +177,20 @@ class MixtureFit:
 
 
 def _tv_curve(u: np.ndarray, v: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    # TV(lam) = 0.5 sum |u - lam v|, for a batch of lam values, chunked so the
-    # broadcast buffer stays small
+    # TV(lam) = 0.5 sum |u - lam v|, for a batch of lam values, computed in
+    # place in one buffer of at most _TV_BLOCK elements (one row when u is
+    # longer); each row is still reduced on its own, so the bits do not
+    # depend on the block size
     out = np.empty(len(lams))
-    chunk = max(1, (1 << 22) // max(len(u), 1))
+    chunk = max(1, _TV_BLOCK // max(len(u), 1))
+    buf = np.empty((min(chunk, len(lams)), len(u)))
     for lo in range(0, len(lams), chunk):
         lam_blk = lams[lo:lo + chunk]
-        out[lo:lo + chunk] = 0.5 * np.abs(
-            u[None, :] - lam_blk[:, None] * v[None, :]).sum(axis=1)
+        b = buf[:len(lam_blk)]
+        np.multiply(lam_blk[:, None], v, out=b)
+        np.subtract(u, b, out=b)
+        np.abs(b, out=b)
+        out[lo:lo + chunk] = 0.5 * b.sum(axis=1)
     return out
 
 
@@ -194,6 +202,8 @@ def fit_mixture_weight(table: GibbsTable, table_plus: GibbsTable,
     TV is piecewise linear and convex in lam, so a grid pass followed by a
     golden-section refinement of the winning bracket finds the optimum.
     """
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError(f"grid_step must lie in (0, 1], got {grid_step!r}")
     for other in (table_plus, table_minus):
         if other.volume != table.volume:
             raise ValueError("mixture fit needs tables on the same volume")

@@ -24,11 +24,10 @@ import numpy as np
 import scipy
 
 from . import __version__, boundary, rng
-from .config import resolve_config
+from .config import resolve_config, resolve_sequence
 from .exact import expectation, gibbs_table, log_partition_function
-from .metastate import (NullRecurrenceRecord, VolumeSequence,
-                        csd_flip_statistics, histogram_from_w,
-                        lambda_w_samples, make_volume_sequence)
+from .metastate import (NullRecurrenceRecord, csd_flip_statistics,
+                        histogram_from_w, lambda_w_samples)
 from .models import (BoundaryCondition, DisorderRealization, ModelSpec,
                      SpinConfiguration, Volume, finite_volume_energy,
                      gauge_boundary, gauge_partner, gauge_transform)
@@ -93,12 +92,6 @@ def _map_tasks(worker, tasks, workers: int) -> list:
         # tasks are already fixed-size chunks; the pool's own batching
         # would put neighbouring (often equally heavy) tasks on one worker
         return pool.map(worker, tasks, chunksize=1)
-
-
-def _resolve_sequence(seq_cfg: dict) -> VolumeSequence:
-    return make_volume_sequence(
-        seq_cfg["kind"], seq_cfg["budget"], step=seq_cfg.get("step", 100),
-        ratio=seq_cfg.get("ratio", 2.0), start=seq_cfg.get("start", 2))
 
 
 def _family_spec(family: str, beta: float, alpha: float | None) -> ModelSpec:
@@ -188,7 +181,7 @@ def _window_chunk(task):
 
 
 def _run_window(cfg):
-    sizes = (list(_resolve_sequence(cfg["sequence"]).terms) if cfg["sequence"]
+    sizes = (list(resolve_sequence(cfg["sequence"]).terms) if cfg["sequence"]
              else list(cfg["sizes"]))
     n_seeds = cfg["n_seeds"]
     delta = cfg["delta"]
@@ -249,7 +242,7 @@ def _metastate_chunk(task):
 
 
 def _run_metastate(cfg):
-    seq = _resolve_sequence(cfg["sequence"]) if cfg["sequence"] else None
+    seq = resolve_sequence(cfg["sequence"]) if cfg["sequence"] else None
     sizes = list(seq.terms) if seq else [cfg["size"]]
     n_seeds = cfg["n_seeds"]
     chunk = _CHUNK["metastate_exact" if cfg["mode"] == "exact_gibbs_fit"
@@ -301,14 +294,14 @@ def _run_metastate(cfg):
 def _csd_chunk(task):
     cfg, lo, hi = task
     spec = ModelSpec.dyson(cfg["alpha"])
-    seq = _resolve_sequence(cfg["sequence"])
+    seq = resolve_sequence(cfg["sequence"])
     rec = csd_flip_statistics(spec, seq, cfg["master_seed"], hi - lo,
                               boundary=cfg["boundary"], seed_offset=lo)
     return rec
 
 
 def _run_csd(cfg):
-    seq = _resolve_sequence(cfg["sequence"])
+    seq = resolve_sequence(cfg["sequence"])
     n_seeds = cfg["n_seeds"]
     tasks = [(cfg, lo, hi) for lo, hi in _chunks(n_seeds, _CHUNK["csd"])]
     recs = _map_tasks(_csd_chunk, tasks, cfg["workers"])

@@ -54,8 +54,17 @@ def test_shipped_configs_validate():
     ({"experiment": "oracle-vs-mc", "size": 30}, "size"),
     ({"experiment": "metastate", "alpha": 1.25, "mode": "exact_gibbs_fit",
       "size": 30}, "size"),
+    ({"experiment": "metastate", "alpha": 1.25, "mode": "exact_gibbs_fit",
+      "sequence": {"kind": "geometric", "budget": 200, "start": 4}},
+     "sequence"),
+    ({"experiment": "metastate", "family": "ea", "mode": "exact_gibbs_fit",
+      "size": 8}, "interaction_seed"),
+    ({"experiment": "window", "family": "dyson", "alpha": 1.25,
+      "threshold": 1.0, "sequence": {"kind": "geometric", "budget": 10}},
+     "sequence"),
 ], ids=["experiment", "alpha-range", "sizes-order", "unknown-key",
-        "threshold-and-delta", "oracle-size", "exact-fit-size"])
+        "threshold-and-delta", "oracle-size", "exact-fit-size",
+        "exact-fit-sequence", "exact-fit-disorder", "sequence-too-short"])
 def test_validate_rejects_bad_configs(tmp_path, payload, needle):
     path = _write(tmp_path, "bad.json", payload)
     res = _cli("validate", path)
@@ -190,7 +199,10 @@ def test_run_rejects_invalid_config(tmp_path):
 # realizations were drawn in row blocks. Each config puts several row blocks
 # into one scheduler chunk, chunks start at seed offsets that are not block
 # multiples, and stream lengths are odd or not powers of two; the second
-# metastate case negates the boundary.
+# metastate case negates the boundary. The exact_gibbs_fit digests were
+# recorded with the broadcast lambda grid, before it ran in a cache-sized
+# buffer: N = 12 gives 16 grid rows per buffer, N = 16 one row, and the EA
+# case fixes the couplings through interaction_seed.
 @pytest.mark.parametrize("payload,digest", [
     ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
       "sizes": [100, 1001, 4099, 12345], "n_seeds": 1100, "master_seed": 3},
@@ -216,8 +228,20 @@ def test_run_rejects_invalid_config(tmp_path):
       "sequence": {"kind": "geometric", "budget": 32766, "ratio": 2, "start": 2},
       "n_seeds": 60, "master_seed": 9},
      "b2a6eb842a2afe726147d722a3522dec1af8b88daf77547faec22842dfda5660"),
+    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
+      "beta": 2.0, "size": 12, "n_seeds": 6, "master_seed": 3},
+     "730fdc07225e0db20bf8d33d8cba25bc4b3968942131b712a33bc926d9096f9b"),
+    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
+      "beta": 2.0, "size": 16, "flip_disorder": True, "n_seeds": 2,
+      "master_seed": 5},
+     "229bdb8876a0370bdfba7b118efa78471c599cb059ed0dd092027ea9fcc9200a"),
+    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "family": "ea",
+      "beta": 1.5, "size": 10, "interaction_seed": 11, "n_seeds": 8,
+      "master_seed": 2},
+     "32f844cbf4d568241a629de1dd1c961770eeb5f26d728e68c8f546e51724b25f"),
 ], ids=["scaling-dyson", "scaling-nn2d", "window-dyson", "window-nn2d",
-        "metastate", "metastate-flip", "csd"])
+        "metastate", "metastate-flip", "csd", "exact-fit", "exact-fit-flip16",
+        "exact-fit-ea"])
 def test_csv_digests_are_anchored(tmp_path, payload, digest):
     summary = run_experiment(dict(payload), output_dir=str(tmp_path))
     raw = Path(summary["csv_path"]).read_bytes()

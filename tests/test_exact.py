@@ -11,7 +11,7 @@ from rbclab import (BoundaryCondition, DisorderRealization, ModelSpec,
                     finite_volume_energy, fit_mixture_weight, gibbs_table,
                     log_partition_function, partition_function,
                     plus_phase_weight, total_variation)
-from rbclab.exact import ENUMERATION_LIMIT
+from rbclab.exact import ENUMERATION_LIMIT, _TV_BLOCK, _tv_curve
 
 NN = ModelSpec.nn_ising()
 
@@ -165,6 +165,35 @@ def test_mixture_weight_degenerate_endpoints():
     v = Volume.interval(4)
     t = gibbs_table(NN, v, BoundaryCondition.plus())
     assert fit_mixture_weight(t, t, t).weight == 0.5  # identical: convention
+    for step in (0.0, -1e-4, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="grid_step"):
+            fit_mixture_weight(t, t, t, grid_step=step)
+
+
+def _tv_curve_broadcast(u, v, lams):
+    # the broadcast form the blocked curve replaced: three temporaries of up
+    # to 2^22 elements per chunk of lambda values
+    out = np.empty(len(lams))
+    chunk = max(1, (1 << 22) // max(len(u), 1))
+    for lo in range(0, len(lams), chunk):
+        lam_blk = lams[lo:lo + chunk]
+        out[lo:lo + chunk] = 0.5 * np.abs(
+            u[None, :] - lam_blk[:, None] * v[None, :]).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096, 1 << 16, (1 << 16) + 3, 1 << 17])
+def test_tv_curve_is_bitwise_equal_to_broadcast(n):
+    gen = np.random.default_rng(n)
+    p_mix, p_plus, p_minus = gen.dirichlet(np.ones(n), size=3)
+    u, v = p_mix - p_minus, p_plus - p_minus
+    rows = max(1, _TV_BLOCK // n)
+    # the fit's full grid, and a count that leaves a partial last block
+    counts = [10_001, 2 * rows + 3] if n <= 4096 else [5]
+    for n_lam in counts:
+        lams = np.linspace(0.0, 1.0, n_lam)
+        assert np.array_equal(_tv_curve(u, v, lams),
+                              _tv_curve_broadcast(u, v, lams))
 
 
 def test_enumeration_limit_enforced():

@@ -1,5 +1,8 @@
 """Volume sequences, lambda histograms, flip statistics, recurrence sums."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,30 @@ def test_exact_fit_mode_agrees_with_t0_weights():
     lam_exact = 0.5 * (1.0 + np.tanh(3.0 * w_exact))
     close = np.abs(lam_t0 - lam_exact) <= 0.1
     assert close.mean() >= 0.9
+
+
+_EXACT_FIT = """
+from rbclab import ModelSpec
+from rbclab.metastate import lambda_w_samples
+w = lambda_w_samples(ModelSpec.dyson(1.25), [12], 3, 0, "exact_gibbs_fit", 2.0)
+assert w.shape == (3,)
+with open("/proc/self/status") as fh:
+    print([line.split()[1] for line in fh if line.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc")
+def test_exact_fit_memory_is_bounded():
+    # N = 12 gives 4,096 probabilities per table; the 10,001-point lambda
+    # grid once went through 32 MiB broadcast temporaries, about 145 MB at
+    # peak. The child reports VmHWM, the peak RSS of its own image (see
+    # test_long_chain_memory_is_bounded for why not ru_maxrss).
+    res = subprocess.run([sys.executable, "-c", _EXACT_FIT],
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    peak_mb = int(res.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 100.0
 
 
 def test_t0_mode_rejects_short_range_models():
