@@ -11,9 +11,7 @@ from .experiments import run_experiment
 
 def _print_diagnostics(diagnostics, text: str, path: str):
     for msg in diagnostics:
-        # best-effort line pointer: quoted key if present, else leading word
-        key = msg.split("'")[1] if "'" in msg else msg.split()[0]
-        lineno = line_hint(text, key)
+        lineno = line_hint(text, msg.key)
         hint = f"{path}:{lineno}: " if lineno is not None else ""
         print(f"error: {hint}{msg}", file=sys.stderr)
 

@@ -1,48 +1,27 @@
 """Experiment configuration: JSON loading, validation, defaults.
 
-A config is a flat JSON object.  `validate_config` returns a list of
-diagnostics (empty = valid), each naming the offending key and the accepted
-range, so the CLI can point at the config line.  `resolve_config` fills in
-defaults and normalizes types; experiments consume the resolved dict.
+A config is a flat JSON object.  `KEYS` maps each experiment to the keys it
+accepts, and each key to its check and its default.  `validate_config`
+returns a list of diagnostics (empty = valid); each is a message string
+whose `key` attribute names the config key it is about, so the CLI can point
+at the config line.  `resolve_config` fills in defaults; experiments consume
+the resolved dict.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 
 from .exact import ENUMERATION_LIMIT
 from .metastate import VolumeSequence, make_volume_sequence
-from .models import FAMILIES
+from .models import DISORDERED_FAMILIES, FAMILIES
 
 EXPERIMENTS = ("scaling", "window", "metastate", "csd", "gauge-check",
                "oracle-vs-mc")
 SEQUENCE_KINDS = ("sparse", "linear", "geometric")
 METASTATE_MODES = ("T0_weight", "exact_gibbs_fit")
-# families whose couplings or fields come from a DisorderRealization
-_DISORDERED_FAMILIES = ("mattis", "rfim", "ea")
-
-# keys every experiment accepts
-_COMMON_KEYS = {"experiment", "master_seed", "n_seeds", "workers", "output_dir"}
-
-# per-experiment extras
-_EXPERIMENT_KEYS = {
-    "scaling": {"family", "alpha", "sizes", "statistic"},
-    "window": {"family", "alpha", "sizes", "sequence", "threshold", "delta"},
-    "metastate": {"family", "alpha", "beta", "size", "sequence", "mode",
-                  "window", "interaction_seed", "flip_disorder"},
-    "csd": {"alpha", "sequence", "boundary"},
-    "gauge-check": {"size", "kernel", "alpha", "dimension", "beta"},
-    "oracle-vs-mc": {"families", "alpha", "betas", "size", "n_sweeps"},
-}
-
-_DEFAULT_N_SEEDS = {
-    "scaling": 2000,
-    "window": 2000,
-    "metastate": 2000,
-    "csd": 100,
-    "gauge-check": 100,
-    "oracle-vs-mc": 34,   # trials per (family, beta)
-}
 
 
 class ConfigError(Exception):
@@ -51,6 +30,15 @@ class ConfigError(Exception):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+class _Diagnostic(str):
+    """A diagnostic message; `key` is the config key it is about."""
+
+    def __new__(cls, message: str, key: str | None = None):
+        self = super().__new__(cls, message)
+        self.key = key
+        return self
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -67,16 +55,24 @@ def load_config(path: str) -> tuple[dict, str]:
 
 
 def line_hint(text: str, key: str) -> int | None:
-    """1-based line of the key's first occurrence in the raw config text."""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+    """1-based line of the key's first occurrence in the raw config text.
+
+    A dotted key ("sequence.kind") is the first occurrence of its last part
+    at or after the line of the part before it.
+    """
+    lines = text.splitlines()
+    lineno = 0
+    for part in key.split("."):
+        needle = f'"{part}"'
+        lineno = next((i for i in range(lineno, len(lines))
+                       if needle in lines[i]), None)
+        if lineno is None:
+            return None
+    return lineno + 1
 
 
 # ---------------------------------------------------------------------------
-# validation
+# the key table
 
 
 def _is_int(x) -> bool:
@@ -84,195 +80,214 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A finite int or float (json parses NaN and Infinity as floats)."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
-def _check_alpha(data, out, required):
-    if "alpha" not in data:
-        if required:
-            out.append("missing key 'alpha'; power kernels need alpha in (1, 2]")
-        return
-    a = data["alpha"]
-    if not _is_num(a) or not (1.0 < a <= 2.0):
-        out.append(f"alpha must lie in (1, 2], got {a!r}")
+def _one_of(values: tuple) -> tuple:
+    """Check and text for a value equal to one of `values`, type included."""
+    return (lambda v: any(type(v) is type(c) and v == c for c in values),
+            f"one of {values}")
 
 
-def _check_sizes(data, out):
-    sizes = data.get("sizes")
-    if sizes is None:
-        return
-    if (not isinstance(sizes, list) or len(sizes) < 2
-            or not all(_is_int(n) and n >= 1 for n in sizes)
-            or any(b <= a for a, b in zip(sizes, sizes[1:]))):
-        out.append("sizes must be a strictly increasing list of >= 2 positive integers")
+def _enumerable(lo: int, why: str) -> tuple:
+    return (lambda v: _is_int(v) and lo <= v <= ENUMERATION_LIMIT,
+            f"an integer in [{lo}, {ENUMERATION_LIMIT}] ({why})")
+
+
+def _is_sizes(v) -> bool:
+    return (isinstance(v, list) and len(v) >= 2
+            and all(_is_int(n) and n >= 1 for n in v)
+            and all(a < b for a, b in zip(v, v[1:])))
+
+
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_SEED = (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)")
+_ALPHA = (lambda v: _is_num(v) and 1 < v <= 2, "a number in (1, 2]")
+_BETA = (lambda v: _is_num(v) and v >= 0, "a number >= 0", 1.0)
+_SIZES = (_is_sizes, "a strictly increasing list of >= 2 positive integers", None)
+_SEQUENCE = (lambda v: isinstance(v, dict),
+             f"an object with kind in {SEQUENCE_KINDS} and a budget", None)
+# the families whose boundary energy W the scaling and window experiments draw
+_W_FAMILY = (*_one_of(("dyson", "nn2d")), "dyson")
+
+# key -> (check, text, default); `check` accepts a value and `text` says what
+# it accepts.  A default of None stands for "not given".
+_COMMON = {
+    "experiment": (*_one_of(EXPERIMENTS), None),
+    "master_seed": (*_SEED, 0),
+    "n_seeds": (*_POSITIVE, None),
+    "workers": (*_POSITIVE, 1),
+    "output_dir": (lambda v: isinstance(v, str), "a string path", "results"),
+}
+
+
+def _experiment(n_seeds: int, **keys) -> dict:
+    return {**_COMMON, "n_seeds": (*_POSITIVE, n_seeds), **keys}
+
+
+# experiment -> the keys it accepts, the common ones first
+KEYS = {
+    "scaling": _experiment(
+        2000, family=_W_FAMILY,
+        statistic=(*_one_of(("sqrt_var", "mean_abs")), "sqrt_var"),
+        alpha=(*_ALPHA, None), sizes=_SIZES),
+    "window": _experiment(
+        2000, family=_W_FAMILY, alpha=(*_ALPHA, None), sizes=_SIZES,
+        sequence=_SEQUENCE,
+        threshold=(lambda v: _is_num(v) and v > 0, "a number > 0", None),
+        delta=(_is_num, "a finite number", None)),
+    "metastate": _experiment(
+        2000, family=(*_one_of(FAMILIES), "dyson"), alpha=(*_ALPHA, None),
+        beta=_BETA, size=(*_POSITIVE, None), sequence=_SEQUENCE,
+        mode=(*_one_of(METASTATE_MODES), "T0_weight"),
+        window=(*_POSITIVE, None), interaction_seed=(*_SEED, None),
+        flip_disorder=(lambda v: isinstance(v, bool), "true or false", False)),
+    "csd": _experiment(
+        100, alpha=(*_ALPHA, None), sequence=_SEQUENCE,
+        boundary=(*_one_of(("random", "plus")), "random")),
+    "gauge-check": _experiment(
+        100, size=(*_enumerable(1, "exact partition functions"), 6),
+        kernel=(*_one_of(("nn", "power")), "nn"), alpha=(*_ALPHA, None),
+        dimension=(*_one_of((1, 2)), 1), beta=_BETA),
+    "oracle-vs-mc": _experiment(
+        34,  # trials per (family, beta)
+        families=(lambda v: isinstance(v, list) and v != []
+                  and all(f in FAMILIES for f in v),
+                  f"a non-empty list drawn from {FAMILIES}", list(FAMILIES)),
+        betas=(lambda v: isinstance(v, list) and v != []
+               and all(_is_num(b) and b >= 0 for b in v),
+               "a non-empty list of numbers >= 0", [0.5, 1.0, 2.0]),
+        size=(*_enumerable(2, "the exact oracle bound"), 10),
+        # weak-coupling end of the power-law family: the validated regime
+        # for single-flip chains across all three default betas
+        alpha=(*_ALPHA, 1.8),
+        n_sweeps=(lambda v: _is_int(v) and v >= 100, "an integer >= 100", None)),
+}
+
+# keys of the `sequence` object; every kind reads kind and budget
+_SEQUENCE_KEYS = {
+    "kind": (*_one_of(SEQUENCE_KINDS), None),
+    "budget": (*_POSITIVE, None),
+    "step": (*_POSITIVE, 100),
+    "ratio": (lambda v: _is_num(v) and v > 1, "a number > 1", 2.0),
+    "start": (*_POSITIVE, 2),
+}
+_SEQUENCE_READS = {"linear": ("step",), "geometric": ("ratio", "start")}
+
+# pairs of keys of which a config gives exactly one
+_EXACTLY_ONE = {"window": (("sizes", "sequence"), ("threshold", "delta")),
+                "metastate": (("size", "sequence"),)}
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def _bad(key: str, text: str, value) -> _Diagnostic:
+    return _Diagnostic(f"{key} must be {text}, got {value!r}", key)
+
+
+def _unknown(data: dict, keys: dict, where: str, prefix: str = "") -> list:
+    return [_Diagnostic(f"unknown key {key!r} {where}; accepted keys: "
+                        f"{', '.join(sorted(keys))}", prefix + key)
+            for key in sorted(set(data) - set(keys))]
 
 
 def resolve_sequence(seq: dict) -> VolumeSequence:
     """The volume sequence a config's `sequence` object describes."""
-    return make_volume_sequence(
-        seq["kind"], seq["budget"], step=seq.get("step", 100),
-        ratio=seq.get("ratio", 2.0), start=seq.get("start", 2))
+    return make_volume_sequence(**{key: seq.get(key, entry[2])
+                                   for key, entry in _SEQUENCE_KEYS.items()})
 
 
-def _check_sequence(data, out, required=False) -> tuple:
-    """Checks the sequence object; returns its terms, () if it has none."""
-    seq = data.get("sequence")
-    if seq is None:
-        if required:
-            out.append(f"missing key 'sequence'; expected an object with kind in {SEQUENCE_KINDS}")
-        return ()
-    if not isinstance(seq, dict):
-        out.append(f"sequence must be an object with kind in {SEQUENCE_KINDS} and a budget")
-        return ()
+def _sequence_terms(seq: dict, out: list) -> tuple:
+    """Checks the sequence object into `out`; returns its terms, () if none."""
     n_diagnostics = len(out)
+    out += _unknown(seq, _SEQUENCE_KEYS, "in sequence", "sequence.")
     kind = seq.get("kind")
-    if kind not in SEQUENCE_KINDS:
-        out.append(f"sequence.kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
-    budget = seq.get("budget")
-    if not _is_int(budget) or budget < 1:
-        out.append(f"sequence.budget must be a positive integer (total site count), got {budget!r}")
-    if kind == "linear" and not (_is_int(seq.get("step", 100)) and seq.get("step", 100) >= 1):
-        out.append(f"sequence.step must be a positive integer, got {seq.get('step')!r}")
-    if kind == "geometric":
-        ratio = seq.get("ratio", 2.0)
-        if not _is_num(ratio) or ratio <= 1.0:
-            out.append(f"sequence.ratio must exceed 1, got {ratio!r}")
-        start = seq.get("start", 2)
-        if not _is_int(start) or start < 1:
-            out.append(f"sequence.start must be a positive integer, got {start!r}")
-    extra = set(seq) - {"kind", "budget", "step", "ratio", "start"}
-    if extra:
-        out.append(f"unknown sequence keys {sorted(extra)}; accepted: kind, budget, step, ratio, start")
+    reads = _SEQUENCE_READS.get(kind, ()) if isinstance(kind, str) else ()
+    for key in ("kind", "budget") + reads:
+        check, text, default = _SEQUENCE_KEYS[key]
+        if not check(seq.get(key, default)):
+            out.append(_bad(f"sequence.{key}", text, seq.get(key, default)))
     if len(out) > n_diagnostics:
         return ()
     try:
         return resolve_sequence(seq).terms
     except ValueError as err:
-        out.append(f"sequence {err}")
+        out.append(_Diagnostic(f"sequence {err}", "sequence"))
         return ()
 
 
+def _fill(data: dict, keys: dict) -> dict:
+    return {key: data[key] if key in data else copy.copy(entry[2])
+            for key, entry in keys.items()}
+
+
 def validate_config(data: dict) -> list[str]:
-    """Schema and range checks; returns diagnostics naming key and range."""
-    out = []
+    """Schema and range checks; returns diagnostics naming key and range.
+
+    Each diagnostic is a str whose `key` attribute is the config key it is
+    about ("sequence.kind" for a key of the sequence object).
+    """
     exp = data.get("experiment")
-    if exp is None:
-        return [f"missing key 'experiment'; valid experiments: {', '.join(EXPERIMENTS)}"]
     if exp not in EXPERIMENTS:
-        return [f"unknown experiment {exp!r}; valid experiments: {', '.join(EXPERIMENTS)}"]
+        problem = ("missing key 'experiment'" if exp is None
+                   else f"unknown experiment {exp!r}")
+        return [_Diagnostic(f"{problem}; valid experiments: "
+                            f"{', '.join(EXPERIMENTS)}", "experiment")]
+    keys = KEYS[exp]
+    out = _unknown(data, keys, f"for experiment {exp}")
+    out += [_bad(key, text, data[key]) for key, (check, text, _) in keys.items()
+            if key in data and not check(data[key])]
 
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[exp]
-    for key in sorted(set(data) - allowed):
-        out.append(f"unknown key {key!r} for experiment {exp}; accepted keys: "
-                   f"{', '.join(sorted(allowed))}")
+    # rules that involve more than one key
+    cfg = _fill(data, keys)
+    family = cfg.get("family")
+    power = (cfg["kernel"] == "power" if exp == "gauge-check"
+             else exp == "csd" or family == "dyson")
+    required = (["alpha"] if power else []) + (["sequence"] if exp == "csd" else [])
+    for key in required:
+        if key not in data:
+            out.append(_Diagnostic(f"missing key {key!r}; expected "
+                                   f"{keys[key][1]}", key))
+    for a, b in _EXACTLY_ONE.get(exp, ()):
+        if (a in data) == (b in data):
+            out.append(_Diagnostic(f"give exactly one of {a!r} or {b!r}", a))
+    terms = (_sequence_terms(data["sequence"], out)
+             if isinstance(data.get("sequence"), dict) else ())
 
-    if "master_seed" in data and not _is_int(data["master_seed"]):
-        out.append(f"master_seed must be an integer, got {data['master_seed']!r}")
-    if "n_seeds" in data and (not _is_int(data["n_seeds"]) or data["n_seeds"] < 1):
-        out.append(f"n_seeds must be a positive integer, got {data['n_seeds']!r}")
-    if "workers" in data and (not _is_int(data["workers"]) or data["workers"] < 1):
-        out.append(f"workers must be a positive integer, got {data['workers']!r}")
-    if "output_dir" in data and not isinstance(data["output_dir"], str):
-        out.append("output_dir must be a string path")
-    if "beta" in data and (not _is_num(data["beta"]) or data["beta"] < 0):
-        out.append(f"beta must be >= 0, got {data['beta']!r}")
-
-    if exp == "scaling":
-        family = data.get("family", "dyson")
-        if family not in ("dyson", "nn2d"):
-            out.append(f"family must be 'dyson' or 'nn2d' for scaling, got {family!r}")
-        _check_alpha(data, out, required=(family == "dyson"))
-        _check_sizes(data, out)
-        if data.get("statistic", "sqrt_var") not in ("sqrt_var", "mean_abs"):
-            out.append(f"statistic must be 'sqrt_var' or 'mean_abs', got {data.get('statistic')!r}")
-    elif exp == "window":
-        family = data.get("family", "dyson")
-        if family not in ("dyson", "nn2d"):
-            out.append(f"family must be 'dyson' or 'nn2d' for window, got {family!r}")
-        _check_alpha(data, out, required=(family == "dyson"))
-        _check_sizes(data, out)
-        _check_sequence(data, out)
-        if ("sizes" in data) == ("sequence" in data):
-            out.append("give exactly one of 'sizes' or 'sequence'")
-        if ("threshold" in data) == ("delta" in data):
-            out.append("give exactly one of 'threshold' (absolute c > 0) or "
-                       "'delta' (threshold N^delta; summable regime is 0 < delta < 1/2)")
-        if "threshold" in data and (not _is_num(data["threshold"]) or data["threshold"] <= 0):
-            out.append(f"threshold must be > 0, got {data['threshold']!r}")
-        if "delta" in data and not _is_num(data["delta"]):
-            out.append(f"delta must be a number, got {data['delta']!r}")
-    elif exp == "metastate":
-        mode = data.get("mode", "T0_weight")
-        if mode not in METASTATE_MODES:
-            out.append(f"mode must be one of {METASTATE_MODES}, got {mode!r}")
-        family = data.get("family", "dyson")
-        if family not in FAMILIES:
-            out.append(f"unknown family {family!r}; choose from {FAMILIES}")
-        if mode == "T0_weight" and family != "dyson":
-            out.append("T0_weight mode supports the dyson family only (interval W)")
-        _check_alpha(data, out, required=(family == "dyson"))
-        terms = _check_sequence(data, out)
-        if ("size" in data) == ("sequence" in data):
-            out.append("give exactly one of 'size' or 'sequence'")
-        size = data.get("size")
-        if size is not None and (not _is_int(size) or size < 1):
-            out.append(f"size must be a positive integer, got {size!r}")
-        if mode == "exact_gibbs_fit":
+    if exp == "metastate":
+        if cfg["mode"] == "T0_weight" and family != "dyson":
+            out.append(_Diagnostic("T0_weight mode supports the dyson family "
+                                   "only (interval W)", "family"))
+        if cfg["mode"] == "exact_gibbs_fit":
+            size = cfg["size"]
             if _is_int(size) and size > ENUMERATION_LIMIT:
-                out.append(f"size {size} exceeds the exact-enumeration bound "
-                           f"{ENUMERATION_LIMIT} required by mode exact_gibbs_fit")
+                out.append(_Diagnostic(
+                    f"size {size} exceeds the exact-enumeration bound "
+                    f"{ENUMERATION_LIMIT} required by mode exact_gibbs_fit", "size"))
             over = [n for n in terms if n > ENUMERATION_LIMIT]
             if over:
-                out.append(f"sequence term {over[0]} exceeds the exact-enumeration "
-                           f"bound {ENUMERATION_LIMIT} required by mode exact_gibbs_fit")
-            if family in _DISORDERED_FAMILIES and "interaction_seed" not in data:
-                out.append(f"family {family!r} has random couplings or fields; mode "
-                           "exact_gibbs_fit needs an integer 'interaction_seed' to fix them")
-        if "window" in data and (not _is_int(data["window"]) or data["window"] < 1):
-            out.append(f"window must be a positive integer, got {data['window']!r}")
-        if "interaction_seed" in data and not _is_int(data["interaction_seed"]):
-            out.append(f"interaction_seed must be an integer, got {data['interaction_seed']!r}")
-        if "flip_disorder" in data and not isinstance(data["flip_disorder"], bool):
-            out.append(f"flip_disorder must be true or false, got {data['flip_disorder']!r}")
-    elif exp == "csd":
-        _check_alpha(data, out, required=True)
-        _check_sequence(data, out, required=True)
-        if data.get("boundary", "random") not in ("random", "plus"):
-            out.append(f"boundary must be 'random' or 'plus', got {data.get('boundary')!r}")
+                out.append(_Diagnostic(
+                    f"sequence term {over[0]} exceeds the exact-enumeration "
+                    f"bound {ENUMERATION_LIMIT} required by mode exact_gibbs_fit",
+                    "sequence"))
+            if (isinstance(family, str) and family in DISORDERED_FAMILIES
+                    and "interaction_seed" not in data):
+                out.append(_Diagnostic(
+                    f"family {family!r} has random couplings or fields; mode "
+                    "exact_gibbs_fit needs an integer 'interaction_seed' to fix "
+                    "them", "interaction_seed"))
     elif exp == "gauge-check":
-        size = data.get("size", 6)
-        if not _is_int(size) or not (1 <= size <= ENUMERATION_LIMIT):
-            out.append(f"size must be an integer in [1, {ENUMERATION_LIMIT}] "
-                       f"(exact partition functions), got {size!r}")
-        kernel = data.get("kernel", "nn")
-        if kernel not in ("nn", "power"):
-            out.append(f"kernel must be 'nn' or 'power', got {kernel!r}")
-        _check_alpha(data, out, required=(kernel == "power"))
-        dim = data.get("dimension", 1)
-        if dim not in (1, 2):
-            out.append(f"dimension must be 1 or 2, got {dim!r}")
-        if kernel == "power" and dim == 2:
-            out.append("power kernel is defined on 1d volumes only")
+        size, dim = cfg["size"], cfg["dimension"]
+        if power and dim == 2:
+            out.append(_Diagnostic("power kernel is defined on 1d volumes only",
+                                   "kernel"))
         if dim == 2 and _is_int(size) and size * size > ENUMERATION_LIMIT:
-            out.append(f"2d size {size} gives {size * size} sites, over the "
-                       f"enumeration bound {ENUMERATION_LIMIT}")
-    elif exp == "oracle-vs-mc":
-        fams = data.get("families", list(FAMILIES))
-        if (not isinstance(fams, list) or not fams
-                or any(f not in FAMILIES for f in fams)):
-            out.append(f"families must be a non-empty list drawn from {FAMILIES}")
-        betas = data.get("betas", [0.5, 1.0, 2.0])
-        if (not isinstance(betas, list) or not betas
-                or any(not _is_num(b) or b < 0 for b in betas)):
-            out.append("betas must be a non-empty list of numbers >= 0")
-        size = data.get("size", 10)
-        if not _is_int(size) or not (2 <= size <= ENUMERATION_LIMIT):
-            out.append(f"size must be an integer in [2, {ENUMERATION_LIMIT}] "
-                       f"(the exact oracle bound), got {size!r}")
-        if "n_sweeps" in data and (not _is_int(data["n_sweeps"]) or data["n_sweeps"] < 100):
-            out.append(f"n_sweeps must be an integer >= 100, got {data['n_sweeps']!r}")
-        if "alpha" in data:
-            _check_alpha(data, out, required=False)
+            out.append(_Diagnostic(f"2d size {size} gives {size * size} sites, "
+                                   f"over the enumeration bound {ENUMERATION_LIMIT}",
+                                   "size"))
     return out
 
 
@@ -285,56 +300,8 @@ def resolve_config(data: dict) -> dict:
     diagnostics = validate_config(data)
     if diagnostics:
         raise ConfigError(diagnostics)
-    exp = data["experiment"]
-    cfg = {
-        "experiment": exp,
-        "master_seed": data.get("master_seed", 0),
-        "n_seeds": data.get("n_seeds", _DEFAULT_N_SEEDS[exp]),
-        "workers": data.get("workers", 1),
-        "output_dir": data.get("output_dir", "results"),
-    }
-    if exp == "scaling":
-        cfg["family"] = data.get("family", "dyson")
-        cfg["statistic"] = data.get("statistic", "sqrt_var")
-        if cfg["family"] == "dyson":
-            cfg["alpha"] = data["alpha"]
-            cfg["sizes"] = data.get("sizes", [100, 1000, 10_000, 100_000])
-        else:
-            cfg["alpha"] = data.get("alpha")
-            cfg["sizes"] = data.get("sizes", [16, 32, 64, 128, 256, 512, 1024])
-    elif exp == "window":
-        cfg["family"] = data.get("family", "dyson")
-        cfg["alpha"] = data.get("alpha")
-        cfg["sizes"] = data.get("sizes")
-        cfg["sequence"] = data.get("sequence")
-        cfg["threshold"] = data.get("threshold")
-        cfg["delta"] = data.get("delta")
-    elif exp == "metastate":
-        cfg["family"] = data.get("family", "dyson")
-        cfg["alpha"] = data.get("alpha")
-        cfg["beta"] = data.get("beta", 1.0)
-        cfg["size"] = data.get("size")
-        cfg["sequence"] = data.get("sequence")
-        cfg["mode"] = data.get("mode", "T0_weight")
-        cfg["window"] = data.get("window")
-        cfg["interaction_seed"] = data.get("interaction_seed")
-        cfg["flip_disorder"] = data.get("flip_disorder", False)
-    elif exp == "csd":
-        cfg["alpha"] = data["alpha"]
-        cfg["sequence"] = data.get("sequence")
-        cfg["boundary"] = data.get("boundary", "random")
-    elif exp == "gauge-check":
-        cfg["size"] = data.get("size", 6)
-        cfg["kernel"] = data.get("kernel", "nn")
-        cfg["alpha"] = data.get("alpha")
-        cfg["dimension"] = data.get("dimension", 1)
-        cfg["beta"] = data.get("beta", 1.0)
-    elif exp == "oracle-vs-mc":
-        cfg["families"] = data.get("families", list(FAMILIES))
-        cfg["betas"] = data.get("betas", [0.5, 1.0, 2.0])
-        cfg["size"] = data.get("size", 10)
-        # weak-coupling end of the power-law family: the validated regime
-        # for single-flip chains across all three default betas
-        cfg["alpha"] = data.get("alpha", 1.8)
-        cfg["n_sweeps"] = data.get("n_sweeps")
+    cfg = _fill(data, KEYS[data["experiment"]])
+    if cfg["experiment"] == "scaling" and cfg["sizes"] is None:
+        cfg["sizes"] = ([100, 1000, 10_000, 100_000] if cfg["family"] == "dyson"
+                        else [16, 32, 64, 128, 256, 512, 1024])
     return cfg

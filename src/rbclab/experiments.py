@@ -525,15 +525,13 @@ def run_experiment(data: dict, output_dir: str | None = None,
     """Run one experiment from a raw config dict; returns the summary.
 
     Writes <experiment>.csv and <experiment>_summary.json into the output
-    directory.  The keyword overrides mirror the CLI flags.
+    directory.  The keyword overrides mirror the CLI flags and are validated
+    with the config.
     """
-    cfg = resolve_config(data)
-    if output_dir is not None:
-        cfg["output_dir"] = output_dir
-    if workers is not None:
-        cfg["workers"] = int(workers)
-    if master_seed is not None:
-        cfg["master_seed"] = int(master_seed)
+    overrides = {"output_dir": output_dir, "workers": workers,
+                 "master_seed": master_seed}
+    cfg = resolve_config(data | {key: val for key, val in overrides.items()
+                                 if val is not None})
 
     t0 = time.time()
     comments, header, rows, results = _RUNNERS[cfg["experiment"]](cfg)

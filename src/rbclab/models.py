@@ -22,6 +22,8 @@ import numpy as np
 from . import rng
 
 FAMILIES = ("nn_ising", "dyson", "mattis", "rfim", "ea")
+# families whose DisorderRealization supplies site signs or bond signs
+DISORDERED_FAMILIES = {"mattis": "site", "rfim": "site", "ea": "bond"}
 KERNELS = ("nn", "power")
 
 # Exterior window for long-range kernels: M = WINDOW_FACTOR * N sites per side.
@@ -317,11 +319,11 @@ class ModelSpec:
 
     @property
     def needs_site_disorder(self) -> bool:
-        return self.family in ("mattis", "rfim")
+        return DISORDERED_FAMILIES.get(self.family) == "site"
 
     @property
     def needs_bond_disorder(self) -> bool:
-        return self.family == "ea"
+        return DISORDERED_FAMILIES.get(self.family) == "bond"
 
     def with_beta(self, beta: float) -> "ModelSpec":
         return ModelSpec(self.family, beta=beta, alpha=self.alpha, kernel=self.kernel,
@@ -356,16 +358,6 @@ def _distance(i, j) -> int:
     if isinstance(i, tuple):
         return abs(i[0] - j[0]) + abs(i[1] - j[1])
     return abs(i - j)
-
-
-def pair_coupling(spec: ModelSpec, i, j) -> float:
-    """Deterministic kernel value J(i - j); disorder signs are not included."""
-    if i == j:
-        raise ValueError(f"pair coupling needs distinct sites, got {i} twice")
-    r = _distance(i, j)
-    if spec.kernel == "power":
-        return float(r) ** -spec.alpha
-    return 1.0 if r == 1 else 0.0
 
 
 def window_tail_bound(alpha: float, n_sites: int, window: int) -> float:

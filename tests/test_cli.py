@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rbclab.config import (_EXPERIMENT_KEYS, ConfigError, resolve_config,
+from rbclab.config import (_COMMON, KEYS, ConfigError, resolve_config,
                            validate_config)
 from rbclab.experiments import run_experiment
 
@@ -79,6 +79,37 @@ def test_validate_reports_line_numbers(tmp_path):
     lines = Path(path).read_text().splitlines()
     alpha_line = next(i + 1 for i, l in enumerate(lines) if '"alpha"' in l)
     assert f"bad.json:{alpha_line}:" in res.stderr
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"experiment": "scaling", "n_seeds": 1000, "family": "ising",
+      "sizes": [16, 32]}, "family"),
+    ({"experiment": "metastate", "alpha": 1.25, "size": 8, "mode": "annealed",
+      "n_seeds": 5}, "mode"),
+    ({"experiment": "csd", "alpha": 1.25, "n_seeds": 5,
+      "sequence": {"budget": 100000, "kind": "cubic"}}, "kind"),
+], ids=["family", "mode", "sequence-kind"])
+def test_line_hint_points_at_the_offending_key(tmp_path, payload, key):
+    # each message quotes a value before (or instead of) its key
+    path = _write(tmp_path, "bad.json", payload)
+    res = _cli("validate", path)
+    lines = Path(path).read_text().splitlines()
+    key_line = next(i + 1 for i, l in enumerate(lines) if f'"{key}"' in l)
+    assert res.returncode == 2
+    assert f"bad.json:{key_line}:" in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--workers", "0", "workers"),
+    ("--master-seed", str(2**64), "master_seed"),
+    ("--master-seed", "-1", "master_seed"),
+])
+def test_cli_overrides_are_validated(tmp_path, flag, value, key):
+    cfg = _write(tmp_path, "gauge.json", GAUGE_CFG)
+    res = _cli("run", cfg, "--output", str(tmp_path / "o"), flag, value)
+    assert res.returncode == 2
+    assert f"error: {key} must be" in res.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -250,10 +281,20 @@ def test_csv_digests_are_anchored(tmp_path, payload, digest):
 
 def test_readme_lists_every_config_key():
     text = (REPO / "README.md").read_text()
-    for exp, keys in _EXPERIMENT_KEYS.items():
+    common = re.search(r"^Common config keys: ([^.]*)\.", text, re.M)
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", common.group(1)))
+    assert set(listed) == set(_COMMON)
+    for exp, table in KEYS.items():
+        keys = set(table) - set(_COMMON)
         # the bullet and its indented continuation lines
         line = re.search(rf"^- `{re.escape(exp)}`: (.*(?:\n  .*)*)", text, re.M)
         assert line, exp
         # backticked words outside parentheses are keys; inside, values
         listed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", line.group(1)))
         assert set(listed) == keys, exp
+
+
+def test_readme_quick_start_runs():
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", text, re.M | re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
