@@ -138,14 +138,16 @@ def _row_blocks(master_seed: int, tags, count: int, n_seeds: int,
 
 
 # Standalone and batch functions evaluate rows through the same helpers, so
-# they agree bit for bit: one 1-D dot per (row, window); box gaps are exact.
+# they agree bit for bit: one numpy sum of products per (row, window), which
+# calls no BLAS, so the bits do not depend on its thread count; box gaps are
+# exact.
 def _half_line_w(coeffs, eta) -> list:
     """W at the nested windows len(c), c in coeffs, of one boundary row."""
-    return [float(c @ eta[:len(c)]) for c in coeffs]
+    return [float((c * eta[:len(c)]).sum()) for c in coeffs]
 
 
 def _interval_w(c, eta_left, eta_right) -> float:
-    return float(c @ eta_left + c @ eta_right)
+    return float((c * eta_left).sum() + (c * eta_right).sum())
 
 
 def _box_gap(layer):

@@ -8,6 +8,8 @@ Enumeration is refused above ENUMERATION_LIMIT sites.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -19,8 +21,6 @@ from .models import (BoundaryCondition, DisorderRealization, ModelSpec,
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18
-# elements in the mixture fit's lambda-grid buffer (512 KiB, cache-sized)
-_TV_BLOCK = 1 << 16
 
 # Configuration indexing: config index bit k is spin k, bit value 0 -> +1.
 # Index 0 is the all-plus configuration; complementing the index flips
@@ -172,26 +172,68 @@ def plus_phase_weight(table: GibbsTable) -> float:
 
 @dataclass(frozen=True)
 class MixtureFit:
-    weight: float
-    residual: float  # total variation at the optimum
+    weight: float    # midpoint of [lo, hi]
+    residual: float  # total variation at weight
+    lo: float        # the minimising interval, clipped to [0, 1]
+    hi: float
 
 
-def _tv_curve(u: np.ndarray, v: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    # TV(lam) = 0.5 sum |u - lam v|, for a batch of lam values, computed in
-    # place in one buffer of at most _TV_BLOCK elements (one row when u is
-    # longer); each row is still reduced on its own, so the bits do not
-    # depend on the block size
-    out = np.empty(len(lams))
-    chunk = max(1, _TV_BLOCK // max(len(u), 1))
-    buf = np.empty((min(chunk, len(lams)), len(u)))
-    for lo in range(0, len(lams), chunk):
-        lam_blk = lams[lo:lo + chunk]
-        b = buf[:len(lam_blk)]
-        np.multiply(lam_blk[:, None], v, out=b)
-        np.subtract(u, b, out=b)
-        np.abs(b, out=b)
-        out[lo:lo + chunk] = 0.5 * b.sum(axis=1)
-    return out
+# elements per list handed to math.fsum by _excess
+_FSUM_CHUNK = 1 << 12
+
+
+def _excess(w: np.ndarray, k: int) -> float:
+    """sum(w[:k]) - sum(w[k:]), rounded once, so its sign is exact."""
+    left = (w[i:min(i + _FSUM_CHUNK, k)].tolist()
+            for i in range(0, k, _FSUM_CHUNK))
+    right = (np.negative(w[i:i + _FSUM_CHUNK]).tolist()
+             for i in range(k, len(w), _FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(itertools.chain(left, right)))
+
+
+def _median_interval(p: np.ndarray, p_plus: np.ndarray,
+                     p_minus: np.ndarray) -> tuple[float, float]:
+    """Minimising set over the reals of sum_i |v_i| |t_i - mu|, where
+    v = p_plus - p_minus has a nonzero entry and t_i = 2 u_i / v_i - 1.
+
+    t is formed as ((p - p_minus) - (p_plus - p)) / v, which negates exactly
+    when the boundary is flipped (p reversed, p_plus and p_minus swapped).
+    In t order with weights w = |v| the set's lower end is t_(k) for the
+    smallest k with sum(w_(1..k)) >= sum(w_(k+1..)); when the two sums are
+    equal it is flat up to t_(k+1), its upper end. A float cumsum proposes
+    k and _excess settles each comparison exactly. Arrays are dropped as
+    soon as they are spent, to keep the peak low.
+    """
+    v = p_plus - p_minus
+    t = p - p_minus
+    b = p_plus - p
+    t -= b
+    del b
+    nonzero = v != 0.0
+    if not nonzero.all():
+        v, t = v[nonzero], t[nonzero]
+    del nonzero
+    t /= v
+    order = np.argsort(t)
+    ts = t[order]
+    del t
+    ws = v[order]
+    del v, order
+    np.abs(ws, out=ws)
+    cs = np.cumsum(ws)
+    k = int(np.searchsorted(cs, 0.5 * cs[-1])) + 1
+    del cs
+    excess = _excess(ws, k)
+    while excess < 0.0:
+        k += 1
+        excess = _excess(ws, k)
+    while k > 1:
+        before = _excess(ws, k - 1)
+        if before < 0.0:
+            break
+        k, excess = k - 1, before
+    lo = float(ts[k - 1])
+    return lo, (float(ts[k]) if excess == 0.0 else lo)
 
 
 def fit_mixture_weight(table: GibbsTable, table_plus: GibbsTable,
@@ -199,44 +241,34 @@ def fit_mixture_weight(table: GibbsTable, table_plus: GibbsTable,
                        grid_step: float = 1e-4) -> MixtureFit:
     """Best lam in [0,1] for table ~ lam*plus + (1-lam)*minus, by total variation.
 
-    TV is piecewise linear and convex in lam, so a grid pass followed by a
-    golden-section refinement of the winning bracket finds the optimum.
+    With u = table - minus and v = plus - minus, TV(lam) = 0.5 sum |u - lam v|
+    is convex and piecewise linear, minimised over the reals on the weighted-
+    median interval of the ratios u_i / v_i with weights |v_i| (v_i != 0).
+    That interval, clipped to [0, 1], is returned as [lo, hi], weight is its
+    midpoint and residual the TV there; a flat minimum (lo < hi) is decided
+    exactly, without a tolerance. The median is taken in the centred
+    coordinate mu = 2 lam - 1, which a flipped boundary negates exactly, so
+    the flipped fit's weight plus this one's is 1.0 in floating point.
+    `grid_step` is validated but no longer affects the fit.
     """
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must lie in (0, 1], got {grid_step!r}")
     for other in (table_plus, table_minus):
         if other.volume != table.volume:
             raise ValueError("mixture fit needs tables on the same volume")
-    u = table.probabilities - table_minus.probabilities
-    v = table_plus.probabilities - table_minus.probabilities
-    if not np.any(v):
+    p, p_plus, p_minus = (table.probabilities, table_plus.probabilities,
+                          table_minus.probabilities)
+    if np.array_equal(p_plus, p_minus):
         # plus and minus tables coincide, every weight fits equally well
-        residual = 0.5 * float(np.abs(u).sum())
-        return MixtureFit(weight=0.5, residual=residual)
-    lams = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
-    tv = _tv_curve(u, v, lams)
-    k = int(np.argmin(tv))
-    lo = lams[max(k - 1, 0)]
-    hi = lams[min(k + 1, len(lams) - 1)]
-
-    def f(lam: float) -> float:
-        return 0.5 * float(np.abs(u - lam * v).sum())
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    lam_star = min(1.0, max(0.0, 0.5 * (a + b)))
-    return MixtureFit(weight=lam_star, residual=f(lam_star))
+        mu_lo, mu_hi = -1.0, 1.0
+    else:
+        mu_lo, mu_hi = (min(max(mu, -1.0), 1.0)
+                        for mu in _median_interval(p, p_plus, p_minus))
+    lo, hi, lam = (0.5 + 0.5 * mu for mu in (mu_lo, mu_hi, 0.5 * (mu_lo + mu_hi)))
+    # TV at lam as 0.5 * |u - lam*v|.sum(), in place
+    u = p - p_minus
+    v = p_plus - p_minus
+    np.multiply(lam, v, out=v)
+    np.subtract(u, v, out=u)
+    np.abs(u, out=u)
+    return MixtureFit(weight=lam, residual=0.5 * float(u.sum()), lo=lo, hi=hi)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -230,53 +231,98 @@ def test_run_rejects_invalid_config(tmp_path):
 # realizations were drawn in row blocks. Each config puts several row blocks
 # into one scheduler chunk, chunks start at seed offsets that are not block
 # multiples, and stream lengths are odd or not powers of two; the second
-# metastate case negates the boundary. The exact_gibbs_fit digests were
-# recorded with the broadcast lambda grid, before it ran in a cache-sized
-# buffer: N = 12 gives 16 grid rows per buffer, N = 16 one row, and the EA
-# case fixes the couplings through interaction_seed.
-@pytest.mark.parametrize("payload,digest", [
-    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
-      "sizes": [100, 1001, 4099, 12345], "n_seeds": 1100, "master_seed": 3},
-     "bb089ae94077b8d353782730b9235c826ee13dd095f4c304b542921ed705c3e0"),
-    ({"experiment": "scaling", "family": "nn2d", "sizes": [16, 50, 160, 999],
-      "n_seeds": 1100, "master_seed": 4},
-     "198d3ca1db0808de589e8b5136c03b7cce21b7741111043f08acee2f663264d0"),
-    ({"experiment": "window", "family": "dyson", "alpha": 1.25,
-      "sizes": [300, 2500, 9999], "threshold": 1.0, "n_seeds": 700,
-      "master_seed": 5},
-     "de4cfffe45971032d8039b24cee0d8c022881f32f3e7eca741dc55c98bc73a55"),
-    ({"experiment": "window", "family": "nn2d", "sizes": [20, 333, 2048],
-      "delta": 0.3, "n_seeds": 700, "master_seed": 6},
-     "3b6270f683b1d57148bb75fb78585fdc00f244ade61b42118154b2d146a293cc"),
-    ({"experiment": "metastate", "alpha": 1.5, "beta": 1.0, "size": 1234,
-      "n_seeds": 600, "master_seed": 7},
-     "091bd28c1f5f694f94234991d75f637f512f87807584c05092a70de338287680"),
-    ({"experiment": "metastate", "alpha": 1.25, "beta": 2.0,
-      "sequence": {"kind": "geometric", "budget": 3000, "ratio": 3, "start": 7},
-      "flip_disorder": True, "n_seeds": 300, "master_seed": 8},
-     "b311054ce5f86871f828ec064f233f307ffd203a6b57d1a3130531ec6ad0ccc0"),
-    ({"experiment": "csd", "alpha": 1.25,
-      "sequence": {"kind": "geometric", "budget": 32766, "ratio": 2, "start": 2},
-      "n_seeds": 60, "master_seed": 9},
-     "b2a6eb842a2afe726147d722a3522dec1af8b88daf77547faec22842dfda5660"),
-    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
-      "beta": 2.0, "size": 12, "n_seeds": 6, "master_seed": 3},
-     "730fdc07225e0db20bf8d33d8cba25bc4b3968942131b712a33bc926d9096f9b"),
-    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
-      "beta": 2.0, "size": 16, "flip_disorder": True, "n_seeds": 2,
-      "master_seed": 5},
-     "229bdb8876a0370bdfba7b118efa78471c599cb059ed0dd092027ea9fcc9200a"),
-    ({"experiment": "metastate", "mode": "exact_gibbs_fit", "family": "ea",
-      "beta": 1.5, "size": 10, "interaction_seed": 11, "n_seeds": 8,
-      "master_seed": 2},
-     "32f844cbf4d568241a629de1dd1c961770eeb5f26d728e68c8f546e51724b25f"),
-], ids=["scaling-dyson", "scaling-nn2d", "window-dyson", "window-nn2d",
-        "metastate", "metastate-flip", "csd", "exact-fit", "exact-fit-flip16",
-        "exact-fit-ea"])
-def test_csv_digests_are_anchored(tmp_path, payload, digest):
+# metastate case negates the boundary. The boundary-energy digests were
+# re-recorded when W stopped calling BLAS (a 1-D ddot split across threads
+# changed its low bits), the exact_gibbs_fit digests when lambda became the
+# midpoint of the exact weighted-median interval: N = 16 flips the boundary,
+# and the EA case fixes the couplings through interaction_seed.
+ANCHORED = {
+    "scaling-dyson": (
+        {"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+         "sizes": [100, 1001, 4099, 12345], "n_seeds": 1100, "master_seed": 3},
+        "e8f85e1f1079fb842953cd33bae5639afb2b378220b73abc079963c69c200050"),
+    "scaling-nn2d": (
+        {"experiment": "scaling", "family": "nn2d", "sizes": [16, 50, 160, 999],
+         "n_seeds": 1100, "master_seed": 4},
+        "198d3ca1db0808de589e8b5136c03b7cce21b7741111043f08acee2f663264d0"),
+    "window-dyson": (
+        {"experiment": "window", "family": "dyson", "alpha": 1.25,
+         "sizes": [300, 2500, 9999], "threshold": 1.0, "n_seeds": 700,
+         "master_seed": 5},
+        "de4cfffe45971032d8039b24cee0d8c022881f32f3e7eca741dc55c98bc73a55"),
+    "window-nn2d": (
+        {"experiment": "window", "family": "nn2d", "sizes": [20, 333, 2048],
+         "delta": 0.3, "n_seeds": 700, "master_seed": 6},
+        "3b6270f683b1d57148bb75fb78585fdc00f244ade61b42118154b2d146a293cc"),
+    "metastate": (
+        {"experiment": "metastate", "alpha": 1.5, "beta": 1.0, "size": 1234,
+         "n_seeds": 600, "master_seed": 7},
+        "94e506fa953b261151980c1b5caaef46fec9473e7236ac95001dea571e3b0d0c"),
+    "metastate-flip": (
+        {"experiment": "metastate", "alpha": 1.25, "beta": 2.0,
+         "sequence": {"kind": "geometric", "budget": 3000, "ratio": 3,
+                      "start": 7},
+         "flip_disorder": True, "n_seeds": 300, "master_seed": 8},
+        "85997621fcbb81055506bffb7d346b2c4909fb2cc307bf26f12fac233e9a9f01"),
+    "csd": (
+        {"experiment": "csd", "alpha": 1.25,
+         "sequence": {"kind": "geometric", "budget": 32766, "ratio": 2,
+                      "start": 2},
+         "n_seeds": 60, "master_seed": 9},
+        "f52da6c369fc207f25cb1b8fa83a0311231afa20b83e8006dcd961695d139a26"),
+    "exact-fit": (
+        {"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
+         "beta": 2.0, "size": 12, "n_seeds": 6, "master_seed": 3},
+        "370542650d96aa6069537a697a1cb7e52fe22a244fcff7de1aa7e30faf23cab1"),
+    "exact-fit-flip16": (
+        {"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.25,
+         "beta": 2.0, "size": 16, "flip_disorder": True, "n_seeds": 2,
+         "master_seed": 5},
+        "2146e3c41f55b6080c3bb63b6a38c53f8fe6482a2129ed79a656ec4cabac7b03"),
+    "exact-fit-ea": (
+        {"experiment": "metastate", "mode": "exact_gibbs_fit", "family": "ea",
+         "beta": 1.5, "size": 10, "interaction_seed": 11, "n_seeds": 8,
+         "master_seed": 2},
+        "a105b1f5113763841571f76ff1c35295d0ad7f62e4e99ebb00da2487ea5333a1"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANCHORED))
+def test_csv_digests_are_anchored(tmp_path, case):
+    payload, digest = ANCHORED[case]
     summary = run_experiment(dict(payload), output_dir=str(tmp_path))
     raw = Path(summary["csv_path"]).read_bytes()
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+_DIGEST = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from rbclab.experiments import run_experiment
+with tempfile.TemporaryDirectory() as out:
+    for payload in json.loads(sys.argv[1]):
+        csv = run_experiment(payload, output_dir=out)["csv_path"]
+        print(hashlib.sha256(Path(csv).read_bytes()).hexdigest())
+"""
+
+
+def test_boundary_digests_do_not_depend_on_blas_threads():
+    # the anchored cases that sum boundary energies, each run under a one-
+    # and a two-thread OpenBLAS; W calls no BLAS, so the bits agree
+    cases = ["scaling-dyson", "metastate", "metastate-flip", "csd"]
+    payloads = json.dumps([ANCHORED[c][0] for c in cases])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        res = subprocess.run([sys.executable, "-c", _DIGEST, payloads],
+                             capture_output=True, text=True, env=env,
+                             timeout=600)
+        assert res.returncode == 0, res.stderr
+        digests.append(res.stdout.split())
+    assert digests[0] == digests[1] == [ANCHORED[c][1] for c in cases]
 
 
 def test_readme_lists_every_config_key():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from rbclab import (BoundaryCondition, DisorderRealization, ModelSpec,
                     finite_volume_energy, fit_mixture_weight, gibbs_table,
                     log_partition_function, partition_function,
                     plus_phase_weight, total_variation)
-from rbclab.exact import ENUMERATION_LIMIT, _TV_BLOCK, _tv_curve
+from rbclab.exact import ENUMERATION_LIMIT
+from rbclab.metastate import _random_boundary
 
 NN = ModelSpec.nn_ising()
 
@@ -170,30 +173,195 @@ def test_mixture_weight_degenerate_endpoints():
             fit_mixture_weight(t, t, t, grid_step=step)
 
 
-def _tv_curve_broadcast(u, v, lams):
-    # the broadcast form the blocked curve replaced: three temporaries of up
-    # to 2^22 elements per chunk of lambda values
+# ---------------------------------------------------------------------------
+# the exact mixture fit against the grid fit it replaced
+
+
+def _tv_curve(u, v, lams):
     out = np.empty(len(lams))
-    chunk = max(1, (1 << 22) // max(len(u), 1))
+    chunk = max(1, (1 << 16) // max(len(u), 1))
+    buf = np.empty((min(chunk, len(lams)), len(u)))
     for lo in range(0, len(lams), chunk):
         lam_blk = lams[lo:lo + chunk]
-        out[lo:lo + chunk] = 0.5 * np.abs(
-            u[None, :] - lam_blk[:, None] * v[None, :]).sum(axis=1)
+        b = buf[:len(lam_blk)]
+        np.multiply(lam_blk[:, None], v, out=b)
+        np.subtract(u, b, out=b)
+        np.abs(b, out=b)
+        out[lo:lo + chunk] = 0.5 * b.sum(axis=1)
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 4096, 1 << 16, (1 << 16) + 3, 1 << 17])
-def test_tv_curve_is_bitwise_equal_to_broadcast(n):
-    gen = np.random.default_rng(n)
-    p_mix, p_plus, p_minus = gen.dirichlet(np.ones(n), size=3)
-    u, v = p_mix - p_minus, p_plus - p_minus
-    rows = max(1, _TV_BLOCK // n)
-    # the fit's full grid, and a count that leaves a partial last block
-    counts = [10_001, 2 * rows + 3] if n <= 4096 else [5]
-    for n_lam in counts:
-        lams = np.linspace(0.0, 1.0, n_lam)
-        assert np.array_equal(_tv_curve(u, v, lams),
-                              _tv_curve_broadcast(u, v, lams))
+def _grid_fit(p, p_plus, p_minus):
+    # the previous fit_mixture_weight: a 10,001-point lambda grid, then
+    # golden-section refinement of the best bracket; returns (lambda, TV)
+    u, v = p - p_minus, p_plus - p_minus
+    lams = np.linspace(0.0, 1.0, 10_001)
+    k = int(np.argmin(_tv_curve(u, v, lams)))
+    lo = lams[max(k - 1, 0)]
+    hi = lams[min(k + 1, len(lams) - 1)]
+
+    def f(lam):
+        return 0.5 * float(np.abs(u - lam * v).sum())
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < 1e-12:
+            break
+    lam_star = min(1.0, max(0.0, 0.5 * (a + b)))
+    return lam_star, f(lam_star)
+
+
+def _tv(p, p_plus, p_minus, lam):
+    return 0.5 * float(np.abs((p - p_minus) - lam * (p_plus - p_minus)).sum())
+
+
+def _tv_exact(p, p_plus, p_minus, lam):
+    # 2 TV in rational arithmetic on the float differences u and v
+    lam = Fraction(lam)
+    return sum(abs(Fraction(u) - lam * Fraction(v)) for u, v in
+               zip((p - p_minus).tolist(), (p_plus - p_minus).tolist()))
+
+
+def _fit_cases():
+    gen = np.random.default_rng(7)
+    for n in (1, 2, 3, 5, 8):
+        base = gibbs_table(NN, Volume.interval(n), BoundaryCondition.free())
+        for _ in range(6):
+            p, p_plus, p_minus = gen.dirichlet(np.ones(1 << n), size=3)
+            yield tuple(dataclasses.replace(base, probabilities=x)
+                        for x in (p, p_plus, p_minus))
+    for spec, disorder in [(ModelSpec.dyson(1.25, beta=2.0), None),
+                           (ModelSpec.dyson(1.5, beta=1.0), None),
+                           (ModelSpec.ea(beta=1.0), DisorderRealization(3)),
+                           (ModelSpec.mattis(beta=1.0), DisorderRealization(5))]:
+        v = Volume.interval(8)
+        t_plus = gibbs_table(spec, v, BoundaryCondition.plus(), disorder)
+        t_minus = gibbs_table(spec, v, BoundaryCondition.minus(), disorder)
+        for seed in range(6):
+            yield (gibbs_table(spec, v, BoundaryCondition.random(seed), disorder),
+                   t_plus, t_minus)
+
+
+def test_fit_agrees_with_grid_reference():
+    # On a flat minimum TV evaluated in floating point wobbles by an ulp
+    # either way, so "the grid's lambda is never better" is checked in
+    # rational arithmetic; the float residual gets one ulp of 1.
+    for t, t_plus, t_minus in _fit_cases():
+        p, pp, pm = t.probabilities, t_plus.probabilities, t_minus.probabilities
+        fit = fit_mixture_weight(t, t_plus, t_minus)
+        ref_lam, ref_residual = _grid_fit(p, pp, pm)
+        assert 0.0 <= fit.lo <= fit.weight <= fit.hi <= 1.0
+        assert fit.residual == _tv(p, pp, pm, fit.weight)
+        assert fit.residual <= ref_residual + 2.2e-16
+        assert _tv_exact(p, pp, pm, ref_lam) >= _tv_exact(p, pp, pm, fit.weight)
+        for end in (fit.lo, fit.hi):
+            assert abs(_tv(p, pp, pm, end) - fit.residual) <= 2.2e-16
+
+
+def _hand_tables(p, p_plus, p_minus):
+    base = gibbs_table(NN, Volume.interval(2), BoundaryCondition.free())
+    return [dataclasses.replace(base, probabilities=np.array(x, dtype=float))
+            for x in (p, p_plus, p_minus)]
+
+
+def test_mixture_fit_returns_the_flat_interval_exactly():
+    # ratios u/v = 0.25, 0.75, 0.25, 0.75 with equal weights |v| = 0.5:
+    # TV is flat on [0.25, 0.75]
+    fit = fit_mixture_weight(*_hand_tables([0.125, 0.375, 0.375, 0.125],
+                                           [0.5, 0.5, 0.0, 0.0],
+                                           [0.0, 0.0, 0.5, 0.5]))
+    assert (fit.lo, fit.weight, fit.hi) == (0.25, 0.5, 0.75)
+    assert fit.residual == 0.25
+
+
+def test_mixture_fit_decides_ties_exactly():
+    # With p_minus = 0 and weights w = p_plus, p = 0, w/4, w/2 and w give
+    # centred ratios 2 u/v - 1 of -1, -0.5, 0 and 1. Weights 0.1, 0.2, 0.3
+    # (and a v = 0 entry): a float cumsum sees a tie after 0.1 + 0.2, but
+    # exactly 0.1 + 0.2 exceeds 0.3, so the minimum is the single point 0.5
+    fit = fit_mixture_weight(*_hand_tables([0.0, 0.2 / 2, 0.3, 0.0],
+                                           [0.1, 0.2, 0.3, 0.0],
+                                           [0.0] * 4))
+    assert (0.1 + 0.2) + 0.3 == 2 * (0.1 + 0.2)
+    assert (fit.lo, fit.weight, fit.hi) == (0.5, 0.5, 0.5)
+    # weights 1, 2^-60, 2^-60, 1: a float cumsum loses 2^-60 and would split
+    # after the first entry; the exact sums tie after the second, so the
+    # minimum is flat between the centred ratios -0.5 and 0
+    tiny = 2.0 ** -60
+    fit = fit_mixture_weight(*_hand_tables([0.0, tiny / 4, tiny / 2, 1.0],
+                                           [1.0, tiny, tiny, 1.0],
+                                           [0.0] * 4))
+    assert (fit.lo, fit.weight, fit.hi) == (0.25, 0.375, 0.5)
+
+
+def test_mixture_fit_planted_interval_is_a_point():
+    v = Volume.interval(10)
+    spec = NN.with_beta(2.0)
+    t_plus = gibbs_table(spec, v, BoundaryCondition.plus())
+    t_minus = gibbs_table(spec, v, BoundaryCondition.minus())
+    for lam in (0.0, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0):
+        mix = lam * t_plus.probabilities + (1 - lam) * t_minus.probabilities
+        planted = dataclasses.replace(t_plus, probabilities=mix)
+        fit = fit_mixture_weight(planted, t_plus, t_minus)
+        assert fit.lo == fit.hi == fit.weight
+        assert abs(fit.weight - lam) <= 2.2e-16
+
+
+@pytest.mark.parametrize("spec,n,interaction_seed", [
+    (ModelSpec.dyson(1.25, beta=2.0), 12, None),
+    (ModelSpec.ea(beta=1.5), 10, 11),
+], ids=["dyson", "ea"])
+def test_mixture_fit_flip_symmetry(spec, n, interaction_seed):
+    # A flipped boundary reverses the table and swaps plus with minus, which
+    # negates the centred ratios exactly. Back on the lambda scale the
+    # weights and the interval ends add up to 1.0 exactly in floating point;
+    # the float 1 - hi itself can differ from the flipped lo by half an ulp.
+    volume = Volume.interval(n)
+    disorder = (DisorderRealization(interaction_seed)
+                if interaction_seed is not None else None)
+    t_plus = gibbs_table(spec, volume, BoundaryCondition.plus(), disorder)
+    t_minus = gibbs_table(spec, volume, BoundaryCondition.minus(), disorder)
+    flat = 0
+    for seed in range(12):
+        a, b = (fit_mixture_weight(
+            gibbs_table(spec, volume,
+                        _random_boundary(spec, volume, seed, flip, None),
+                        disorder), t_plus, t_minus) for flip in (False, True))
+        assert a.weight + b.weight == 1.0
+        assert b.lo + a.hi == 1.0 and b.hi + a.lo == 1.0
+        assert abs(b.lo - (1.0 - a.hi)) <= 2.0 ** -54
+        assert abs(b.hi - (1.0 - a.lo)) <= 2.0 ** -54
+        flat += a.lo < a.hi
+    assert flat > 0  # the symmetry is exercised on flat intervals too
+
+
+def test_mixture_fit_memory_is_bounded():
+    # one fit at n = 16 allocates at most five arrays of 2^n floats; the
+    # grid fit it replaced peaked at 4.3 of them
+    v = Volume.interval(16)
+    spec = ModelSpec.dyson(1.25, beta=2.0)
+    t_plus = gibbs_table(spec, v, BoundaryCondition.plus())
+    t_minus = gibbs_table(spec, v, BoundaryCondition.minus())
+    table = gibbs_table(spec, v, BoundaryCondition.random(3))
+    tracemalloc.start()
+    try:
+        fit_mixture_weight(table, t_plus, t_minus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * (1 << 16)
 
 
 def test_enumeration_limit_enforced():
