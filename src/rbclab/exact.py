@@ -113,28 +113,35 @@ def _site_spins(table: GibbsTable, i: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> np.uint64(i)) & np.uint64(1))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) without BLAS, so the bits do not depend on its threading."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def expectation(table: GibbsTable, observable: Observable) -> float:
     """<f> under the table.
 
-    Accepts "magnetization", ("site", i), ("overlap", tau_values), or a
-    callable mapping a (block, n_sites) spin matrix to a vector.
+    Accepts "magnetization", "energy", ("site", i), ("overlap", tau_values),
+    or a callable mapping a (block, n_sites) spin matrix to a vector.
     """
     p = table.probabilities
     n = table.n_sites
     if observable == "magnetization":
-        return float(p @ (table.spin_sums / n))
+        return _dot(p, table.spin_sums / n)
+    if observable == "energy":
+        return _dot(p, table.energies)
     if isinstance(observable, tuple) and observable[0] == "site":
         i = observable[1]
         if not 0 <= i < n:
             raise ValueError(f"site index {i} outside 0..{n - 1}")
-        return float(p @ _site_spins(table, i))
+        return _dot(p, _site_spins(table, i))
     if isinstance(observable, tuple) and observable[0] == "overlap":
         tau = np.asarray(observable[1], dtype=np.float64)
         if tau.shape != (n,):
             raise ValueError(f"overlap configuration must have {n} spins")
         acc = 0.0
         for i in range(n):
-            acc += tau[i] * float(p @ _site_spins(table, i))
+            acc += tau[i] * _dot(p, _site_spins(table, i))
         return acc / n
     if callable(observable):
         n_conf = len(p)
@@ -144,7 +151,7 @@ def expectation(table: GibbsTable, observable: Observable) -> float:
         for lo in range(0, n_conf, block):
             idx = np.arange(lo, lo + block, dtype=np.uint64)
             sig = 1.0 - 2.0 * ((idx[:, None] >> bit_shifts[None, :]) & np.uint64(1))
-            acc += float(p[lo:lo + block] @ np.asarray(observable(sig), dtype=np.float64))
+            acc += _dot(p[lo:lo + block], np.asarray(observable(sig), dtype=np.float64))
         return acc
     raise ValueError(f"unrecognized observable {observable!r}")
 

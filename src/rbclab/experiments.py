@@ -436,7 +436,7 @@ def _oracle_chunk(task):
         chain = rng.sub_seed(master, 3 * t + 2)
         table = gibbs_table(spec, volume, bc, dis)
         m_exact = expectation(table, "magnetization")
-        e_exact = float(table.probabilities @ table.energies)
+        e_exact = expectation(table, "energy")
         run = metropolis_run(spec, volume, bc, dis, chain_seed=chain,
                              n_sweeps=sweeps, thin=thin)
         zm, ze = oracle_z_scores(

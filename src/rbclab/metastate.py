@@ -208,6 +208,9 @@ def lambda_w_samples(spec: ModelSpec, sizes, n_disorder: int, master_seed: int,
                      seed_offset: int = 0) -> np.ndarray:
     """W values behind the lambda histogram, concatenated size-major.
 
+    In exact_gibbs_fit mode a fitted weight of exactly 0 or 1 gives
+    W = -inf or +inf; lambda = (1 + tanh(beta W)) / 2 maps it back exactly.
+
     Seed index i always means sub_seed(master_seed, seed_offset + i), so
     disjoint offset ranges partition the realizations: parallel workers can
     each take a slice and the pooled result is independent of the split.
@@ -252,9 +255,9 @@ def _exact_fit_pseudo_w(spec: ModelSpec, n: int, n_disorder: int,
         bc = _random_boundary(spec, volume, seed, flip, window)
         table = gibbs_table(spec, volume, bc, disorder, window)
         lam = fit_mixture_weight(table, table_plus, table_minus).weight
-        # clamp so atanh stays finite; one part in 1e12 is far below bin width
-        lam = min(max(lam, 5e-13), 1.0 - 5e-13)
-        out[i] = np.arctanh(2.0 * lam - 1.0) / max(beta, 1e-300)
+        # a fit of exactly 0 or 1 maps to -inf or +inf, which tanh maps back
+        with np.errstate(divide="ignore"):
+            out[i] = np.arctanh(2.0 * lam - 1.0) / max(beta, 1e-300)
     return out
 
 
@@ -263,7 +266,7 @@ def _random_boundary(spec: ModelSpec, volume: Volume, seed: int, flip: bool,
     if not flip:
         return BoundaryCondition.random(seed)
     w = window if window is not None else spec.default_window(volume)
-    ext = volume.boundary_sites(w) if volume.kind == "interval" else volume.boundary_sites()
+    ext = volume.boundary_sites(w)
     vals = DisorderRealization(seed, negate=True).boundary_values(ext, volume)
     return BoundaryCondition.explicit({s: int(v) for s, v in zip(ext, vals)})
 

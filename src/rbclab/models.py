@@ -77,7 +77,8 @@ class Volume:
         """Exterior sites carrying boundary values, lexicographic.
 
         Interval: `window` sites on each side.  Box: the adjacent exterior
-        layer (4N sites; corners touch nothing and are excluded).
+        layer (4N sites; corners touch nothing and are excluded), whatever
+        the window.
         """
         n = self.extent
         if self.kind == "interval":
@@ -146,12 +147,10 @@ class DisorderRealization:
         return np.int8(-1 if self.negate else 1)
 
     def site_values(self, sites) -> np.ndarray:
-        codes = np.asarray([rng.site_code(s) for s in sites], dtype=np.uint64)
-        return self._sign() * rng.pm1_at(self.seed, rng.TAG_SITE, codes)
+        return self._sign() * rng.pm1_at(self.seed, rng.TAG_SITE, rng.site_codes(sites))
 
     def bond_values(self, pairs) -> np.ndarray:
-        codes = np.asarray([rng.bond_code(a, b) for a, b in pairs], dtype=np.uint64)
-        return self._sign() * rng.pm1_at(self.seed, rng.TAG_BOND, codes)
+        return self._sign() * rng.pm1_at(self.seed, rng.TAG_BOND, rng.bond_codes(pairs))
 
     def left_boundary(self, m: int) -> np.ndarray:
         return self._sign() * rng.stream_pm1(self.seed, rng.TAG_LEFT, 0, m)
@@ -165,18 +164,16 @@ class DisorderRealization:
     def boundary_values(self, sites, volume: Volume) -> np.ndarray:
         """Values at explicit exterior sites of `volume`."""
         if volume.kind == "interval":
+            s = np.asarray(sites, dtype=np.int64)
             n = volume.extent
-            interior = [s for s in sites if 0 <= s < n]
-            if interior:
-                raise ValueError(f"sites {interior[:8]} are interior to {volume}")
-            left_need = max((-s for s in sites if s < 0), default=0)
-            right_need = max((s - n + 1 for s in sites if s >= n), default=0)
-            left = self.left_boundary(left_need) if left_need else None
-            right = self.right_boundary(right_need) if right_need else None
-            out = np.empty(len(sites), dtype=np.int8)
-            for k, s in enumerate(sites):
-                out[k] = left[-s - 1] if s < 0 else right[s - n]
-            return out
+            interior = s[(s >= 0) & (s < n)]
+            if interior.size:
+                raise ValueError(f"sites {interior[:8].tolist()} are interior to {volume}")
+            left = s < 0
+            out = np.empty(len(s), dtype=np.int8)
+            out[left] = rng.pm1_at(self.seed, rng.TAG_LEFT, -s[left] - 1)
+            out[~left] = rng.pm1_at(self.seed, rng.TAG_RIGHT, s[~left] - n)
+            return self._sign() * out
         layer = volume.boundary_sites()
         pos = {s: k for k, s in enumerate(layer)}
         vals = self.layer_values(len(layer))
@@ -219,7 +216,9 @@ class BoundaryCondition:
 
     @classmethod
     def explicit(cls, values: dict) -> "BoundaryCondition":
-        items = tuple(sorted(values.items(), key=lambda kv: rng.site_code(kv[0])))
+        sites = list(values)
+        items = tuple((sites[k], values[sites[k]])
+                      for k in np.argsort(rng.site_codes(sites)))
         for _, v in items:
             if v not in (-1, 1):
                 raise ValueError("explicit boundary values must be +-1")
@@ -352,14 +351,6 @@ def gauge_partner(spec: ModelSpec) -> ModelSpec:
 # couplings and energies
 
 
-def _distance(i, j) -> int:
-    if isinstance(i, tuple) != isinstance(j, tuple):
-        raise ValueError(f"sites {i} and {j} live in different dimensions")
-    if isinstance(i, tuple):
-        return abs(i[0] - j[0]) + abs(i[1] - j[1])
-    return abs(i - j)
-
-
 def window_tail_bound(alpha: float, n_sites: int, window: int) -> float:
     """Worst-case cross-boundary energy shift from enlarging the window past M.
 
@@ -369,34 +360,39 @@ def window_tail_bound(alpha: float, n_sites: int, window: int) -> float:
     return n_sites * window ** (1.0 - alpha) / (alpha - 1.0)
 
 
+def _couplings(spec: ModelSpec, sites_a: list, sites_b: list,
+               disorder: DisorderRealization | None) -> np.ndarray:
+    """J between two site lists from their graph distance, disorder folded in."""
+    a = np.asarray(sites_a, dtype=np.float64).reshape(len(sites_a), -1)
+    b = np.asarray(sites_b, dtype=np.float64).reshape(len(sites_b), -1)
+    J = np.subtract.outer(a[:, 0], b[:, 0])
+    np.abs(J, out=J)
+    for axis in range(1, a.shape[1]):
+        step = np.subtract.outer(a[:, axis], b[:, axis])
+        J += np.abs(step, out=step)
+    if spec.kernel == "power":
+        same = J == 0.0
+        J[same] = 1.0
+        np.power(J, -spec.alpha, out=J)
+        J[same] = 0.0
+    else:
+        np.equal(J, 1.0, out=J)
+    if spec.family == "mattis":
+        J *= np.outer(disorder.site_values(sites_a), disorder.site_values(sites_b))
+    elif spec.family == "ea":
+        ia, ib = np.nonzero(J)
+        pairs = np.stack((np.asarray(sites_a)[ia], np.asarray(sites_b)[ib]), axis=1)
+        J[ia, ib] *= disorder.bond_values(pairs)
+    return J
+
+
 def coupling_matrix(spec: ModelSpec, volume: Volume,
                     disorder: DisorderRealization | None = None) -> np.ndarray:
     """Interior coupling matrix K (symmetric, zero diagonal, disorder folded in)."""
     spec.check_volume(volume)
     _require_disorder(spec, disorder)
     sites = volume.sites()
-    n = len(sites)
-    if spec.kernel == "power":
-        coords = np.arange(n, dtype=np.float64)
-        dist = np.abs(coords[:, None] - coords[None, :])
-        np.fill_diagonal(dist, 1.0)  # placeholder, wiped below
-        K = dist ** -spec.alpha
-        np.fill_diagonal(K, 0.0)
-    else:
-        K = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                if _distance(sites[a], sites[b]) == 1:
-                    K[a, b] = K[b, a] = 1.0
-    if spec.family == "mattis":
-        eta = disorder.site_values(sites).astype(np.float64)
-        K *= np.outer(eta, eta)
-    elif spec.family == "ea":
-        ia, ib = np.nonzero(np.triu(K, 1))
-        signs = disorder.bond_values([(sites[a], sites[b]) for a, b in zip(ia, ib)])
-        K[ia, ib] *= signs
-        K[ib, ia] = K[ia, ib]
-    return K
+    return _couplings(spec, sites, sites, disorder)
 
 
 def boundary_field(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
@@ -406,33 +402,13 @@ def boundary_field(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
     spec.check_volume(volume)
     _require_disorder(spec, disorder)
     sites = volume.sites()
-    n = len(sites)
-    h = np.zeros(n)
+    h = np.zeros(len(sites))
     if boundary.kind != "free":
         if window is None:
             window = spec.default_window(volume)
-        ext = volume.boundary_sites(window) if volume.kind == "interval" \
-            else volume.boundary_sites()
+        ext = volume.boundary_sites(window)
         b_vals = boundary.values_at(ext, volume).astype(np.float64)
-        if spec.kernel == "power":
-            pos_in = np.arange(n, dtype=np.float64)
-            pos_ext = np.asarray(ext, dtype=np.float64)
-            cross = np.abs(pos_in[:, None] - pos_ext[None, :]) ** -spec.alpha
-        else:
-            cross = np.zeros((n, len(ext)))
-            for a in range(n):
-                for k, s in enumerate(ext):
-                    if _distance(sites[a], s) == 1:
-                        cross[a, k] = 1.0
-        if spec.family == "mattis":
-            eta_in = disorder.site_values(sites).astype(np.float64)
-            eta_ext = disorder.site_values(ext).astype(np.float64)
-            cross = cross * np.outer(eta_in, eta_ext)
-        elif spec.family == "ea":
-            nz_i, nz_k = np.nonzero(cross)
-            signs = disorder.bond_values([(sites[a], ext[k]) for a, k in zip(nz_i, nz_k)])
-            cross[nz_i, nz_k] *= signs
-        h += cross @ b_vals
+        h += _couplings(spec, sites, ext, disorder) @ b_vals
     if spec.family == "rfim" and spec.field_strength != 0.0:
         h += spec.field_strength * disorder.site_values(sites).astype(np.float64)
     return h
@@ -479,8 +455,7 @@ def gauge_boundary(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
         return boundary
     if window is None:
         window = spec.default_window(volume)
-    ext = volume.boundary_sites(window) if volume.kind == "interval" \
-        else volume.boundary_sites()
+    ext = volume.boundary_sites(window)
     b_vals = boundary.values_at(ext, volume)
     eta = disorder.site_values(ext)
     return BoundaryCondition.explicit({s: int(b * e) for s, b, e in zip(ext, b_vals, eta)})

@@ -97,17 +97,18 @@ def zigzag(n: np.ndarray | int) -> np.ndarray | int:
     return out if out.ndim else np.uint64(out)
 
 
-def site_code(site) -> np.uint64:
-    """Stable uint64 code for a 1d (int) or 2d (pair) site."""
-    if isinstance(site, tuple):
-        r, c = site
-        return (zigzag(int(r)) << np.uint64(32)) ^ zigzag(int(c)) ^ np.uint64(1) << np.uint64(63)
-    return np.uint64(zigzag(int(site)))
+def site_codes(sites) -> np.ndarray:
+    """Stable uint64 codes for 1d (int) or 2d ((row, col)) sites."""
+    s = np.asarray(sites, dtype=np.int64)
+    if s.ndim == 1:
+        return zigzag(s)
+    return (zigzag(s[:, 0]) << np.uint64(32)) ^ zigzag(s[:, 1]) ^ np.uint64(1) << np.uint64(63)
 
 
-def bond_code(site_a, site_b) -> np.uint64:
-    """Symmetric uint64 code for an unordered site pair."""
-    ca, cb = site_code(site_a), site_code(site_b)
-    lo, hi = (ca, cb) if ca <= cb else (cb, ca)
+def bond_codes(pairs) -> np.ndarray:
+    """Symmetric uint64 codes for unordered site pairs."""
+    p = np.asarray(pairs, dtype=np.int64)
+    p = p.reshape(-1, 2, *p.shape[2:])
+    ca, cb = site_codes(p[:, 0]), site_codes(p[:, 1])
     with np.errstate(over="ignore"):
-        return _mix64(lo + _GAMMA * hi)
+        return _mix64(np.minimum(ca, cb) + _GAMMA * np.maximum(ca, cb))

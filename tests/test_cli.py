@@ -235,7 +235,13 @@ def test_run_rejects_invalid_config(tmp_path):
 # re-recorded when W stopped calling BLAS (a 1-D ddot split across threads
 # changed its low bits), the exact_gibbs_fit digests when lambda became the
 # midpoint of the exact weighted-median interval: N = 16 flips the boundary,
-# and the EA case fixes the couplings through interaction_seed.
+# and the EA case fixes the couplings through interaction_seed. The EA
+# digest was re-recorded when an exact fit of 0 or 1 stopped being clamped
+# 5e-13 inside [0, 1] on its way into the CSV. The gauge-
+# check digests (the shipped power-kernel config and an nn box) were
+# recorded with the pair-loop coupling builders, the oracle digest once the
+# exact expectations stopped calling BLAS (2^14-entry tables are where a
+# 1-D ddot starts to split across threads).
 ANCHORED = {
     "scaling-dyson": (
         {"experiment": "scaling", "family": "dyson", "alpha": 1.25,
@@ -283,7 +289,20 @@ ANCHORED = {
         {"experiment": "metastate", "mode": "exact_gibbs_fit", "family": "ea",
          "beta": 1.5, "size": 10, "interaction_seed": 11, "n_seeds": 8,
          "master_seed": 2},
-        "a105b1f5113763841571f76ff1c35295d0ad7f62e4e99ebb00da2487ea5333a1"),
+        "80d1b18cb437f6026ac4c1f22e8dff7c84a5e957845e1fe6ddbe0c88e175effe"),
+    "gauge-check": (
+        {"experiment": "gauge-check", "size": 6, "kernel": "power",
+         "alpha": 1.5, "beta": 1.0, "n_seeds": 100, "master_seed": 0},
+        "51c2fe2567b2e72179820af8f5c4e1c1293aabb2a2a4fe51e349f92a294858e4"),
+    "gauge-check-nn-box": (
+        {"experiment": "gauge-check", "kernel": "nn", "dimension": 2,
+         "size": 4, "n_seeds": 12, "master_seed": 3},
+        "e331c895c585cf4316ceaeb129d625ae209b5677a2f15abb2701970685e708f4"),
+    "oracle-vs-mc-14": (
+        {"experiment": "oracle-vs-mc", "families": ["nn_ising", "dyson", "ea"],
+         "betas": [0.5], "size": 14, "n_sweeps": 200, "n_seeds": 2,
+         "master_seed": 1},
+        "1473aba865dbafd8e24630fb77b7a4abc634bfd4dc10ab00be01fedc4d35e094"),
 }
 
 
@@ -307,9 +326,11 @@ with tempfile.TemporaryDirectory() as out:
 
 
 def test_boundary_digests_do_not_depend_on_blas_threads():
-    # the anchored cases that sum boundary energies, each run under a one-
-    # and a two-thread OpenBLAS; W calls no BLAS, so the bits agree
-    cases = ["scaling-dyson", "metastate", "metastate-flip", "csd"]
+    # the anchored cases that sum boundary energies, and an oracle run whose
+    # exact expectations sum 2^14 table entries, each under a one- and a
+    # two-thread OpenBLAS; neither sum calls BLAS, so the bits agree
+    cases = ["scaling-dyson", "metastate", "metastate-flip", "csd",
+             "oracle-vs-mc-14"]
     payloads = json.dumps([ANCHORED[c][0] for c in cases])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

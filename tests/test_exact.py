@@ -123,6 +123,8 @@ def test_expectation_observable_forms_agree():
         == pytest.approx(by_site, rel=1e-12)
     via_callable = expectation(table, lambda s: s.mean(axis=1))
     assert via_callable == pytest.approx(by_site, rel=1e-12)
+    assert expectation(table, "energy") == pytest.approx(
+        math.fsum(table.probabilities * table.energies), rel=1e-12)
     with pytest.raises(ValueError):
         expectation(table, ("site", 5))
     with pytest.raises(ValueError):

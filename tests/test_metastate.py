@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from rbclab import (DisorderRealization, ModelSpec, VolumeSequence,
-                    csd_flip_statistics, empirical_metastate,
-                    is_strictly_sparse, make_volume_sequence,
-                    null_recurrence_frequency, sample_W_plus)
+from rbclab import (BoundaryCondition, DisorderRealization, ModelSpec, Volume,
+                    VolumeSequence, csd_flip_statistics, empirical_metastate,
+                    fit_mixture_weight, gibbs_table, is_strictly_sparse,
+                    make_volume_sequence, null_recurrence_frequency,
+                    sample_W_plus)
 from rbclab import rng
+from rbclab.experiments import run_experiment
 from rbclab.metastate import N_BINS, histogram_from_w, lambda_w_samples
 
 DYSON = ModelSpec.dyson(1.25)
@@ -118,6 +120,41 @@ def test_exact_fit_mode_agrees_with_t0_weights():
     lam_exact = 0.5 * (1.0 + np.tanh(3.0 * w_exact))
     close = np.abs(lam_t0 - lam_exact) <= 0.1
     assert close.mean() >= 0.9
+
+
+def _csv_and_fitted_lambdas(out, family, spec, extra, n_seeds=12):
+    payload = {"experiment": "metastate", "mode": "exact_gibbs_fit",
+               "family": family, "beta": spec.beta, "size": 10,
+               "n_seeds": n_seeds, "master_seed": 2, **extra}
+    csv = run_experiment(payload, output_dir=str(out))["csv_path"]
+    rows = [line for line in open(csv).read().splitlines()
+            if line and not line.startswith("#")][1:]
+    lam_csv = [float(line.split(",")[-1]) for line in rows]
+    volume = Volume.interval(10)
+    disorder = (DisorderRealization(extra["interaction_seed"])
+                if "interaction_seed" in extra else None)
+    plus = gibbs_table(spec, volume, BoundaryCondition.plus(), disorder)
+    minus = gibbs_table(spec, volume, BoundaryCondition.minus(), disorder)
+    fits = [fit_mixture_weight(
+        gibbs_table(spec, volume,
+                    BoundaryCondition.random(rng.sub_seed(2, i)), disorder),
+        plus, minus).weight for i in range(n_seeds)]
+    return lam_csv, fits
+
+
+def test_exact_fit_csv_lambda_is_the_fitted_weight(tmp_path):
+    # lambda goes through atanh into W and back through tanh into the CSV.
+    # The ea chain's fits are 0, 1/2 or 1 and come back exactly; dyson's lie
+    # inside (0, 1) and come back within 2 ulp
+    lam_ea, fit_ea = _csv_and_fitted_lambdas(
+        tmp_path / "ea", "ea", ModelSpec.ea(beta=1.5), {"interaction_seed": 11})
+    assert lam_ea == fit_ea
+    assert {0.0, 1.0} <= set(fit_ea)
+    lam_dy, fit_dy = _csv_and_fitted_lambdas(
+        tmp_path / "dyson", "dyson", ModelSpec.dyson(1.25, beta=2.0),
+        {"alpha": 1.25})
+    assert all(0.0 < f < 1.0 for f in fit_dy)
+    assert np.all(np.abs(np.subtract(lam_dy, fit_dy)) <= 4.4e-16)
 
 
 _EXACT_FIT = """

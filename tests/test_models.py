@@ -1,12 +1,16 @@
 """Model assembly checked against an independent double-loop energy oracle."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rbclab import (BoundaryCondition, DisorderRealization, ModelSpec,
                     SpinConfiguration, Volume, finite_volume_energy,
                     gauge_boundary, gauge_partner, gauge_transform)
-from rbclab.models import window_tail_bound
+from rbclab.models import (boundary_field, coupling_matrix, hamiltonian_arrays,
+                           window_tail_bound)
 
 # ---------------------------------------------------------------------------
 # independent oracle: straight loops over the Hamiltonian definition,
@@ -96,6 +100,129 @@ def test_energy_matches_naive_oracle(spec, volume):
             want = naive_energy(spec, sigma, bc, disorder)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), \
                 f"{spec.family} {bc.kind} trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# the array builders against the pair-loop builders they replaced, bitwise
+
+
+def _reference_coupling_matrix(spec, volume, disorder=None):
+    sites = volume.sites()
+    n = len(sites)
+    if spec.kernel == "power":
+        coords = np.arange(n, dtype=np.float64)
+        dist = np.abs(coords[:, None] - coords[None, :])
+        np.fill_diagonal(dist, 1.0)
+        K = dist ** -spec.alpha
+        np.fill_diagonal(K, 0.0)
+    else:
+        K = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                if _dist(sites[a], sites[b]) == 1:
+                    K[a, b] = K[b, a] = 1.0
+    if spec.family == "mattis":
+        eta = disorder.site_values(sites).astype(np.float64)
+        K *= np.outer(eta, eta)
+    elif spec.family == "ea":
+        ia, ib = np.nonzero(np.triu(K, 1))
+        signs = disorder.bond_values([(sites[a], sites[b]) for a, b in zip(ia, ib)])
+        K[ia, ib] *= signs
+        K[ib, ia] = K[ia, ib]
+    return K
+
+
+def _reference_boundary_field(spec, volume, boundary, disorder=None, window=None):
+    sites = volume.sites()
+    n = len(sites)
+    h = np.zeros(n)
+    if boundary.kind != "free":
+        if window is None:
+            window = spec.default_window(volume)
+        ext = volume.boundary_sites(window) if volume.kind == "interval" \
+            else volume.boundary_sites()
+        b_vals = boundary.values_at(ext, volume).astype(np.float64)
+        if spec.kernel == "power":
+            pos_in = np.arange(n, dtype=np.float64)
+            pos_ext = np.asarray(ext, dtype=np.float64)
+            cross = np.abs(pos_in[:, None] - pos_ext[None, :]) ** -spec.alpha
+        else:
+            cross = np.zeros((n, len(ext)))
+            for a in range(n):
+                for k, s in enumerate(ext):
+                    if _dist(sites[a], s) == 1:
+                        cross[a, k] = 1.0
+        if spec.family == "mattis":
+            eta_in = disorder.site_values(sites).astype(np.float64)
+            eta_ext = disorder.site_values(ext).astype(np.float64)
+            cross = cross * np.outer(eta_in, eta_ext)
+        elif spec.family == "ea":
+            nz_i, nz_k = np.nonzero(cross)
+            signs = disorder.bond_values([(sites[a], ext[k]) for a, k in zip(nz_i, nz_k)])
+            cross[nz_i, nz_k] *= signs
+        h += cross @ b_vals
+    if spec.family == "rfim" and spec.field_strength != 0.0:
+        h += spec.field_strength * disorder.site_values(sites).astype(np.float64)
+    return h
+
+
+def _builder_cases():
+    specs_1d = (ModelSpec.nn_ising(), ModelSpec.dyson(1.5), ModelSpec.mattis(),
+                ModelSpec.mattis(kernel="power", alpha=1.8), ModelSpec.rfim(0.7),
+                ModelSpec.rfim(0.4, kernel="power", alpha=1.3), ModelSpec.ea(),
+                ModelSpec.ea(kernel="power", alpha=2.0))
+    specs_2d = (ModelSpec.nn_ising(dimension=2), ModelSpec.mattis(dimension=2),
+                ModelSpec.rfim(0.7, dimension=2), ModelSpec.ea(dimension=2))
+    volumes = [(specs_1d, Volume.interval(n)) for n in (1, 2, 3, 7, 12, 24)]
+    volumes += [(specs_2d, Volume.box(n)) for n in range(1, 6)]
+    for specs, volume in volumes:
+        for spec in specs:
+            disorder = DisorderRealization(100 + volume.extent) \
+                if (spec.needs_site_disorder or spec.needs_bond_disorder) else None
+            for window in (None, 3):
+                for bc in (BoundaryCondition.free(), BoundaryCondition.plus(),
+                           BoundaryCondition.minus(),
+                           BoundaryCondition.random(17 + volume.extent)):
+                    yield spec, volume, bc, disorder, window
+
+
+def test_builders_match_pair_loop_reference_bitwise():
+    # K and h over every family, 1d sizes 1..24 (size 1 has no interior
+    # bond), boxes up to 5x5 and four boundaries; the digest was recorded
+    # with the pair-loop builders
+    digest = hashlib.sha256()
+    n_cases = 0
+    for spec, volume, bc, disorder, window in _builder_cases():
+        K = coupling_matrix(spec, volume, disorder)
+        h = boundary_field(spec, volume, bc, disorder, window)
+        case = f"{spec.family}/{spec.kernel} {volume} {bc.kind} window={window}"
+        assert K.tobytes() == _reference_coupling_matrix(
+            spec, volume, disorder).tobytes(), case
+        assert h.tobytes() == _reference_boundary_field(
+            spec, volume, bc, disorder, window).tobytes(), case
+        digest.update(K.tobytes())
+        digest.update(h.tobytes())
+        n_cases += 1
+    assert n_cases == 544
+    assert digest.hexdigest() == \
+        "5c6cdf14e9d0c1e41bcf3a9559c62ba8c97727dba1bb710b5e82b5665efd8177"
+
+
+@pytest.mark.parametrize("spec,volume,bound_mib", [
+    (ModelSpec.dyson(1.5), Volume.interval(400), 51.0),
+    (ModelSpec.nn_ising(), Volume.interval(2000), 1.1 * 8 * 2000 ** 2 / 2 ** 20),
+    (ModelSpec.nn_ising(dimension=2), Volume.box(40), 2.1 * 8 * 1600 ** 2 / 2 ** 20),
+], ids=["dyson-400", "nn-2000", "nn-box-40"])
+def test_one_build_peak_memory(spec, volume, bound_mib):
+    # dyson's cross-boundary block (400 x 8000) dominates; the nn builds
+    # hold K plus at most one more coordinate block
+    tracemalloc.start()
+    try:
+        hamiltonian_arrays(spec, volume, BoundaryCondition.plus())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= bound_mib
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +343,12 @@ def test_boundary_values_are_indexed_by_distance():
     assert list(got) == [left[2], left[0], right[0], right[2]]
     with pytest.raises(ValueError):
         d.boundary_values([2], volume)  # interior site
+    empty = d.boundary_values([], volume)
+    assert empty.dtype == np.int8 and empty.shape == (0,)
+    # far out in the window: distance 1000 on either side
+    far = d.boundary_values([-1000, 1003], volume)
+    assert list(far) == [d.left_boundary(1000)[999], d.right_boundary(1000)[999]]
+    assert list(d.flipped().boundary_values([-1000, 1003], volume)) == list(-far)
 
 
 def test_random_boundary_matches_disorder_stream():

@@ -216,7 +216,9 @@ MC_ORACLE_CFG = {"experiment": "oracle-vs-mc",
 
 def test_oracle_experiment_csv_matches_recorded_digest(tmp_path, capsys):
     # seed-0 CSV of the benchmark's mc_oracle config, recorded with the
-    # up-front draw and 8-trial chunks
+    # up-front draw and 8-trial chunks, and re-recorded when the exact
+    # expectations stopped calling BLAS (m_exact and e_exact moved in the
+    # last bits)
     cfg = tmp_path / "mc_oracle.json"
     cfg.write_text(json.dumps(MC_ORACLE_CFG))
     out = tmp_path / "out"
@@ -224,7 +226,7 @@ def test_oracle_experiment_csv_matches_recorded_digest(tmp_path, capsys):
                      "--master-seed", "0"]) == 0
     raw = (out / "oracle-vs-mc.csv").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == \
-        "bd1130edc8bcddbd2f62cbd8526958d4da6b84779ce80d294f20e117dc7b024a"
+        "69818161005485bde393ed3e734231611b6abbbfbab27827178091662aee3156"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Counter-based RNG: determinism, nesting, statistics, code injectivity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,17 +88,46 @@ def test_zigzag_interleaves_signs():
 def test_site_codes_injective():
     sites_1d = list(range(-100, 200))
     sites_2d = [(r, c) for r in range(-8, 24) for c in range(-8, 24)]
-    codes = [int(rng.site_code(s)) for s in sites_1d + sites_2d]
-    assert len(set(codes)) == len(codes)
-    assert int(rng.site_code(3)) == 6  # zigzag, no 2d flag
+    codes = np.concatenate([rng.site_codes(sites_1d), rng.site_codes(sites_2d)])
+    assert codes.dtype == np.uint64
+    assert len(np.unique(codes)) == len(codes)
+    assert rng.site_codes([3]).tolist() == [6]  # zigzag, no 2d flag
 
 
 def test_bond_code_symmetric_and_injective():
-    assert rng.bond_code(0, 1) == rng.bond_code(1, 0)
-    assert rng.bond_code((2, 3), (2, 4)) == rng.bond_code((2, 4), (2, 3))
+    assert np.array_equal(rng.bond_codes([(0, 1), (-4, 7)]),
+                          rng.bond_codes([(1, 0), (7, -4)]))
+    assert np.array_equal(rng.bond_codes([((2, 3), (2, 4))]),
+                          rng.bond_codes([((2, 4), (2, 3))]))
     pairs = [(i, j) for i in range(-20, 20) for j in range(i + 1, 20)]
-    codes = [int(rng.bond_code(a, b)) for a, b in pairs]
-    assert len(set(codes)) == len(codes)
+    codes = rng.bond_codes(pairs)
+    assert len(np.unique(codes)) == len(codes) == len(pairs)
+
+
+# codes of 1d sites (some of them far out) and 2d sites, and of adjacent
+# pairs in both orders, recorded with the per-site scalar code functions
+_CODE_SITES_1D = list(range(-300, 300)) + [-(2 ** 40), 2 ** 40, 10 ** 12]
+_CODE_SITES_2D = [(r, c) for r in range(-12, 30) for c in range(-12, 30)]
+_CODE_PAIRS_1D = [(i, i + 1) for i in range(-300, 300)] \
+    + [(i + 1, i) for i in range(-5, 5)]
+_CODE_PAIRS_2D = [((r, c), (r, c + 1)) for r, c in _CODE_SITES_2D] \
+    + [((r + 1, c), (r, c)) for r, c in _CODE_SITES_2D]
+
+
+def test_codes_match_recorded_digests():
+    sites = np.concatenate([rng.site_codes(_CODE_SITES_1D),
+                            rng.site_codes(_CODE_SITES_2D)])
+    assert hashlib.sha256(sites.tobytes()).hexdigest() == \
+        "1ab639011a8142dd11448112bd073d89a9c478b604e9f92927dfb8aabb0c8c49"
+    bonds = np.concatenate([rng.bond_codes(_CODE_PAIRS_1D),
+                            rng.bond_codes(_CODE_PAIRS_2D)])
+    assert hashlib.sha256(bonds.tobytes()).hexdigest() == \
+        "74a5bab3f0dc691470e2ca228505a00f43091bc8818ca15e72d60e4ef4d1e420"
+
+
+def test_empty_site_and_pair_lists_give_empty_codes():
+    for codes in (rng.site_codes([]), rng.bond_codes([])):
+        assert codes.dtype == np.uint64 and codes.shape == (0,)
 
 
 def test_sub_seed_decorrelates_children():
@@ -126,4 +157,7 @@ def test_no_overflow_warnings():
     with np.errstate(over="raise"):
         rng.stream_u64(123, rng.TAG_SITE, 0, 100)
         rng.sub_seed(999, 999)
-        rng.bond_code((5, -3), (5, -2))
+        rng.site_codes(_CODE_SITES_1D + [-(2 ** 62)])
+        rng.site_codes(_CODE_SITES_2D)
+        rng.bond_codes(_CODE_PAIRS_1D)
+        rng.bond_codes(_CODE_PAIRS_2D)
