@@ -105,8 +105,7 @@ def tail_sum(alpha: float, q: float, eps: float = DEFAULT_EPS,
     return TailSum(alpha, q, value, em_bound + slack, m)
 
 
-def hurwitz_coefficients(alpha: float, m: int, eps: float = DEFAULT_EPS
-                         ) -> tuple[np.ndarray, float]:
+def hurwitz_coefficients(alpha: float, m: int) -> tuple[np.ndarray, float]:
     """a_d = sum_{j>=0} (d+j)^-alpha for d = 1..m, plus a per-term error bound.
 
     One anchored tail sum at d = m+1 and a reverse cumulative sum give all m
@@ -115,7 +114,7 @@ def hurwitz_coefficients(alpha: float, m: int, eps: float = DEFAULT_EPS
     _check_alpha(alpha)
     if m < 1:
         raise ValueError(f"need at least one coefficient, got m={m}")
-    anchor = tail_sum(alpha, m + 1, eps)
+    anchor = tail_sum(alpha, m + 1)
     powers = np.arange(1, m + 1, dtype=np.float64) ** -alpha
     a = powers[::-1].cumsum()[::-1] + anchor.value
     per_term = anchor.error_bound + 1.2e-16 * m ** 0.5 * float(a[0])
@@ -165,8 +164,7 @@ class WPlusSample:
     error_bound: float
 
 
-def sample_W_plus(alpha: float, window_m: int, eta,
-                  eps: float = DEFAULT_EPS) -> WPlusSample:
+def sample_W_plus(alpha: float, window_m: int, eta) -> WPlusSample:
     """W = sum_{d=1..M} eta_d a_d against the all-plus half-line interior.
 
     `eta` is a DisorderRealization (left boundary stream) or an array of
@@ -178,13 +176,12 @@ def sample_W_plus(alpha: float, window_m: int, eta,
               else np.asarray(eta, dtype=np.float64))
     if values.shape != (window_m,):
         raise ValueError(f"eta must supply {window_m} boundary values")
-    a, per_term = hurwitz_coefficients(alpha, window_m, eps)
+    a, per_term = hurwitz_coefficients(alpha, window_m)
     return WPlusSample(_half_line_w([a], values.astype(np.float64))[0],
                        window_m * per_term)
 
 
-def w_plus_exact_std(alpha: float, sizes, eps: float = DEFAULT_EPS,
-                     method: str = "tail") -> np.ndarray:
+def w_plus_exact_std(alpha: float, sizes, method: str = "tail") -> np.ndarray:
     """sqrt(Var W_M) for several windows M, exact for +-1 disorder.
 
     Var W_M = sum_{d<=M} a_d^2.  method="tail" uses the package's certified
@@ -194,7 +191,7 @@ def w_plus_exact_std(alpha: float, sizes, eps: float = DEFAULT_EPS,
     sizes = np.asarray(sizes, dtype=np.int64)
     m_max = int(sizes.max())
     if method == "tail":
-        a, _ = hurwitz_coefficients(alpha, m_max, eps)
+        a, _ = hurwitz_coefficients(alpha, m_max)
     elif method == "zeta":
         a = scipy.special.zeta(alpha, np.arange(1, m_max + 1, dtype=np.float64))
     else:
@@ -204,8 +201,7 @@ def w_plus_exact_std(alpha: float, sizes, eps: float = DEFAULT_EPS,
 
 
 def batch_W_plus(alpha: float, sizes, master_seed: int, n_seeds: int,
-                 eps: float = DEFAULT_EPS, negate: bool = False,
-                 seed_offset: int = 0) -> np.ndarray:
+                 negate: bool = False, seed_offset: int = 0) -> np.ndarray:
     """W samples at nested windows: (n_seeds, len(sizes)) matrix.
 
     Seed i reads the first max(sizes) values of its left-boundary stream;
@@ -213,7 +209,7 @@ def batch_W_plus(alpha: float, sizes, master_seed: int, n_seeds: int,
     same realization (prefix nesting).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    coeffs = [hurwitz_coefficients(alpha, int(m), eps)[0] for m in sizes]
+    coeffs = [hurwitz_coefficients(alpha, int(m))[0] for m in sizes]
     out = np.empty((n_seeds, len(sizes)))
     for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LEFT,),
                                   int(sizes.max()), n_seeds, seed_offset,
@@ -333,12 +329,11 @@ def batch_nn2d_gaps(n: int, master_seed: int, n_seeds: int,
 
 
 def batch_family_W(family: str, alpha: float | None, sizes, master_seed: int,
-                   n_seeds: int, eps: float = DEFAULT_EPS,
-                   seed_offset: int = 0) -> np.ndarray:
+                   n_seeds: int, seed_offset: int = 0) -> np.ndarray:
     """(n_seeds, len(sizes)) W draws: half-line W at window N for "dyson"
     (needs alpha), the box gap at side N for "nn2d"."""
     if family == "dyson":
-        return batch_W_plus(alpha, sizes, master_seed, n_seeds, eps,
+        return batch_W_plus(alpha, sizes, master_seed, n_seeds,
                             seed_offset=seed_offset)
     if family == "nn2d":
         return np.column_stack([batch_nn2d_gaps(int(n), master_seed, n_seeds,
@@ -348,6 +343,15 @@ def batch_family_W(family: str, alpha: float | None, sizes, master_seed: int,
 
 # ---------------------------------------------------------------------------
 # scaling fits
+
+
+# A scaling fit needs FIT_MIN_SIZES sizes with FIT_MIN_SAMPLES draws each,
+# spanning a max/min ratio of FIT_SPAN[family]: two decades for the dyson
+# half-line; the box-gap criterion range {16..1024} spans 1.8 decades, so the
+# 2d family relaxes that to one decade.
+FIT_MIN_SIZES = 4
+FIT_MIN_SAMPLES = 1000
+FIT_SPAN = {"dyson": 100.0, "nn2d": 10.0}
 
 
 @dataclass(frozen=True)
@@ -379,19 +383,19 @@ def fit_loglog(sizes, values) -> tuple[float, float, float]:
 
 
 def scaling_fit(samples: dict, statistic: str = "sqrt_var",
-                min_span: float = 100.0) -> ScalingFit:
+                min_span: float = FIT_SPAN["dyson"]) -> ScalingFit:
     """Power-law fit of a W statistic against volume size.
 
-    `samples` maps size -> array of W draws; needs >= 4 sizes spanning two
-    decades (max/min >= min_span) with >= 1000 draws each.  The 2d gap
-    diagnostic runs on a narrower criterion-mandated range and relaxes
-    min_span to one decade.  statistic: "sqrt_var" (default; the lower-noise
-    choice since the moments are exact for +-1 disorder when computed
-    analytically) or "mean_abs".
+    `samples` maps size -> array of W draws; needs >= FIT_MIN_SIZES sizes
+    spanning max/min >= min_span (two decades by default, FIT_SPAN per
+    family) with >= FIT_MIN_SAMPLES draws each.  statistic: "sqrt_var"
+    (default; the lower-noise choice since the moments are exact for +-1
+    disorder when computed analytically) or "mean_abs".
     """
     sizes = sorted(samples)
-    if len(sizes) < 4:
-        raise ValueError(f"need >= 4 distinct sizes, got {len(sizes)}")
+    if len(sizes) < FIT_MIN_SIZES:
+        raise ValueError(f"need >= {FIT_MIN_SIZES} distinct sizes, "
+                         f"got {len(sizes)}")
     if max(sizes) < min_span * min(sizes):
         raise ValueError(
             f"sizes must span a max/min ratio of {min_span:g}, got "
@@ -400,8 +404,9 @@ def scaling_fit(samples: dict, statistic: str = "sqrt_var",
     vals = []
     for n in sizes:
         w = np.asarray(samples[n], dtype=np.float64)
-        if len(w) < 1000:
-            raise ValueError(f"need >= 1000 samples per size, got {len(w)} at N={n}")
+        if len(w) < FIT_MIN_SAMPLES:
+            raise ValueError(f"need >= {FIT_MIN_SAMPLES} samples per size, "
+                             f"got {len(w)} at N={n}")
         vals.append(np.sqrt(w.var(ddof=1)) if statistic == "sqrt_var"
                     else np.abs(w).mean())
     slope, intercept, stderr = fit_loglog(sizes, vals)
@@ -424,10 +429,9 @@ class WindowProbability:
     out_of_regime: bool   # delta outside (0, 1/2); still computed, flagged
 
 
-def window_slack(family: str, alpha: float | None, n: int,
-                 eps: float = DEFAULT_EPS) -> float:
+def window_slack(family: str, alpha: float | None, n: int) -> float:
     """Certified numerical error of a family's W at size n (exact for nn2d)."""
-    return n * hurwitz_coefficients(alpha, n, eps)[1] if family == "dyson" else 0.0
+    return n * hurwitz_coefficients(alpha, n)[1] if family == "dyson" else 0.0
 
 
 def count_inside(w, thresholds, slacks):
@@ -436,9 +440,11 @@ def count_inside(w, thresholds, slacks):
     return (np.abs(w) <= np.asarray(thresholds) + np.asarray(slacks)).sum(axis=0)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for k successes in n trials."""
     if n <= 0:
         raise ValueError("need at least one trial")
+    z = 1.96
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -448,8 +454,7 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 def window_probability(family: str, n: int, n_seeds: int, master_seed: int = 0,
                        delta: float | None = None, threshold: float | None = None,
-                       alpha: float | None = None,
-                       eps: float = DEFAULT_EPS) -> WindowProbability:
+                       alpha: float | None = None) -> WindowProbability:
     """P(|W_N| <= threshold), threshold = N^delta unless given directly.
 
     family "dyson" uses the half-line W at window N (needs alpha); "nn2d"
@@ -462,8 +467,8 @@ def window_probability(family: str, n: int, n_seeds: int, master_seed: int = 0,
     if delta is not None:
         threshold = float(n) ** delta
         out_of_regime = not (0.0 < delta < 0.5)
-    w = batch_family_W(family, alpha, [n], master_seed, n_seeds, eps)[:, 0]
-    slack = window_slack(family, alpha, n, eps)
+    w = batch_family_W(family, alpha, [n], master_seed, n_seeds)[:, 0]
+    slack = window_slack(family, alpha, n)
     inside = int(count_inside(w, threshold, slack))
     lo, hi = wilson_interval(inside, n_seeds)
     return WindowProbability(inside / n_seeds, lo, hi, inside, n_seeds,

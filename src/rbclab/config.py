@@ -14,9 +14,11 @@ import copy
 import json
 import math
 
+from .boundary import FIT_MIN_SAMPLES, FIT_MIN_SIZES, FIT_SPAN
 from .exact import ENUMERATION_LIMIT
 from .metastate import VolumeSequence, make_volume_sequence
 from .models import DISORDERED_FAMILIES, FAMILIES
+from .montecarlo import MIN_BATCH_SAMPLES
 
 EXPERIMENTS = ("scaling", "window", "metastate", "csd", "gauge-check",
                "oracle-vs-mc")
@@ -110,6 +112,10 @@ _SEQUENCE = (lambda v: isinstance(v, dict),
              f"an object with kind in {SEQUENCE_KINDS} and a budget", None)
 # the families whose boundary energy W the scaling and window experiments draw
 _W_FAMILY = (*_one_of(("dyson", "nn2d")), "dyson")
+# A given n_sweeps runs unchanged with thin 1 and a burn-in of a fifth, so it
+# needs n_sweeps - n_sweeps // 5 >= MIN_BATCH_SAMPLES kept samples.
+_MIN_SWEEPS = next(v for v in range(MIN_BATCH_SAMPLES, 2 * MIN_BATCH_SAMPLES)
+                   if v - v // 5 >= MIN_BATCH_SAMPLES)
 
 # key -> (check, text, default); `check` accepts a value and `text` says what
 # it accepts.  A default of None stands for "not given".
@@ -162,7 +168,9 @@ KEYS = {
         # weak-coupling end of the power-law family: the validated regime
         # for single-flip chains across all three default betas
         alpha=(*_ALPHA, 1.8),
-        n_sweeps=(lambda v: _is_int(v) and v >= 100, "an integer >= 100", None)),
+        n_sweeps=(lambda v: _is_int(v) and v >= _MIN_SWEEPS,
+                  f"an integer >= {_MIN_SWEEPS} (a fifth is burn-in, and batch "
+                  f"means need {MIN_BATCH_SAMPLES} samples)", None)),
 }
 
 # keys of the `sequence` object; every kind reads kind and budget
@@ -279,6 +287,23 @@ def validate_config(data: dict) -> list[str]:
                     f"family {family!r} has random couplings or fields; mode "
                     "exact_gibbs_fit needs an integer 'interaction_seed' to fix "
                     "them", "interaction_seed"))
+    elif exp == "scaling":
+        # the default sizes of either family meet the fit's rules
+        sizes, n_seeds = data.get("sizes"), cfg["n_seeds"]
+        span = FIT_SPAN.get(family) if isinstance(family, str) else None
+        if _is_sizes(sizes):
+            if len(sizes) < FIT_MIN_SIZES:
+                out.append(_Diagnostic(f"the scaling fit needs >= "
+                                       f"{FIT_MIN_SIZES} sizes, got {len(sizes)}",
+                                       "sizes"))
+            if span and sizes[-1] < span * sizes[0]:
+                out.append(_Diagnostic(
+                    f"{family} sizes must span a max/min ratio of {span:g} for "
+                    f"the scaling fit, got {sizes[-1] / sizes[0]:g}", "sizes"))
+        if _is_int(n_seeds) and 1 <= n_seeds < FIT_MIN_SAMPLES:
+            out.append(_Diagnostic(f"the scaling fit needs n_seeds >= "
+                                   f"{FIT_MIN_SAMPLES}, got {n_seeds}",
+                                   "n_seeds"))
     elif exp == "gauge-check":
         size, dim = cfg["size"], cfg["dimension"]
         if power and dim == 2:

@@ -66,12 +66,11 @@ def _enumerate_arrays(K: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def gibbs_table(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
                 disorder: DisorderRealization | None = None,
-                window: int | None = None,
-                max_sites: int = ENUMERATION_LIMIT) -> GibbsTable:
+                window: int | None = None) -> GibbsTable:
     n = volume.n_sites
-    if n > max_sites:
+    if n > ENUMERATION_LIMIT:
         raise ValueError(
-            f"{n} sites exceeds the enumeration limit {max_sites}; "
+            f"{n} sites exceeds the enumeration limit {ENUMERATION_LIMIT}; "
             "use the monte-carlo layer for volumes this large"
         )
     K, h = hamiltonian_arrays(spec, volume, boundary, disorder, window)
@@ -85,21 +84,19 @@ def gibbs_table(spec: ModelSpec, volume: Volume, boundary: BoundaryCondition,
 def log_partition_function(spec: ModelSpec, volume: Volume,
                            boundary: BoundaryCondition,
                            disorder: DisorderRealization | None = None,
-                           window: int | None = None,
-                           max_sites: int = ENUMERATION_LIMIT) -> float:
+                           window: int | None = None) -> float:
     """log Z; finite for beta up to ~50 at the enumeration limit."""
-    table = gibbs_table(spec, volume, boundary, disorder, window, max_sites)
+    table = gibbs_table(spec, volume, boundary, disorder, window)
     return table.log_z
 
 
 def partition_function(spec: ModelSpec, volume: Volume,
                        boundary: BoundaryCondition,
                        disorder: DisorderRealization | None = None,
-                       window: int | None = None,
-                       max_sites: int = ENUMERATION_LIMIT) -> float:
+                       window: int | None = None) -> float:
     """Z itself; overflows to inf when log Z exceeds float range (use the log)."""
     return float(np.exp(log_partition_function(
-        spec, volume, boundary, disorder, window, max_sites)))
+        spec, volume, boundary, disorder, window)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Every experiment follows one pattern: the realization index i is mapped to
 seeds through sub_seed(master_seed, .), work is split over fixed-size index
-chunks, and chunks are merged in index order.  Row values are pure
-functions of (config, master_seed, index), so the CSV is byte-identical at
-any worker count; the JSON summary carries wall time and is compared
-modulo that field.
+spans, and spans are merged in index order.  Each span is one library draw
+at seed_offset = the span's first index, the same call a single process
+makes for a slice of the realizations, so row values are pure functions of
+(config, master_seed, index) and the CSV is byte-identical at any worker
+count; the JSON summary carries wall time and is compared modulo that
+field.
 
 CSV format: '#' comment block documenting every column (units and sign
 conventions), one header row, then data rows.  Floats are written with
@@ -19,6 +21,7 @@ import multiprocessing
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import scipy
@@ -33,8 +36,8 @@ from .models import (BoundaryCondition, DisorderRealization, ModelSpec,
                      gauge_boundary, gauge_partner, gauge_transform)
 from .montecarlo import metropolis_run, oracle_z_scores, recommended_sweeps
 
-# Chunk sizes are fixed constants, not derived from the worker count, so
-# the task list (and with it every row) is identical however many workers
+# Span sizes are fixed constants, not derived from the worker count, so
+# the span list (and with it every row) is identical however many workers
 # execute it. An oracle-vs-mc trial is a whole chain, and oracle_trial_plan
 # gives chains of very different lengths (up to 8M proposals), so each
 # trial is its own task.
@@ -81,10 +84,6 @@ def _jsonable(x):
     return x
 
 
-def _chunks(n: int, size: int) -> list:
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def _map_tasks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
@@ -92,6 +91,16 @@ def _map_tasks(worker, tasks, workers: int) -> list:
         # tasks are already fixed-size chunks; the pool's own batching
         # would put neighbouring (often equally heavy) tasks on one worker
         return pool.map(worker, tasks, chunksize=1)
+
+
+def _span(draw, n: int, size: int, lo: int):
+    return draw(min(size, n - lo), seed_offset=lo)
+
+
+def _map_spans(draw, n: int, size: int, workers: int) -> list:
+    """draw(count, seed_offset=lo) over the spans [lo, lo + size) of range(n),
+    in index order."""
+    return _map_tasks(partial(_span, draw, n, size), range(0, n, size), workers)
 
 
 def _family_spec(family: str, beta: float, alpha: float | None) -> ModelSpec:
@@ -110,25 +119,16 @@ def _family_spec(family: str, beta: float, alpha: float | None) -> ModelSpec:
 # scaling
 
 
-def _scaling_chunk(task):
-    family, alpha, sizes, master_seed, lo, hi = task
-    return boundary.batch_family_W(family, alpha, sizes, master_seed, hi - lo,
-                                   seed_offset=lo)
-
-
 def _run_scaling(cfg):
     sizes = list(cfg["sizes"])
     n_seeds = cfg["n_seeds"]
-    tasks = [(cfg["family"], cfg["alpha"], sizes, cfg["master_seed"], lo, hi)
-             for lo, hi in _chunks(n_seeds, _CHUNK["scaling"])]
-    w = np.vstack(_map_tasks(_scaling_chunk, tasks, cfg["workers"]))
+    draw = partial(boundary.batch_family_W, cfg["family"], cfg["alpha"], sizes,
+                   cfg["master_seed"])
+    w = np.vstack(_map_spans(draw, n_seeds, _CHUNK["scaling"], cfg["workers"]))
 
     samples = {n: w[:, k] for k, n in enumerate(sizes)}
-    # the box-gap criterion range {16..1024} spans 1.8 decades, so the 2d
-    # family relaxes the dyson two-decade span requirement to one decade
-    min_span = 100.0 if cfg["family"] == "dyson" else 10.0
     fit = boundary.scaling_fit(samples, statistic=cfg["statistic"],
-                               min_span=min_span)
+                               min_span=boundary.FIT_SPAN[cfg["family"]])
     if cfg["family"] == "dyson":
         exact_std = boundary.w_plus_exact_std(cfg["alpha"], sizes)
         zeta_std = boundary.w_plus_exact_std(cfg["alpha"], sizes, method="zeta")
@@ -173,11 +173,9 @@ def _run_scaling(cfg):
 # window probabilities
 
 
-def _window_chunk(task):
-    family, alpha, sizes, thresholds, slacks, master_seed, lo, hi = task
-    w = boundary.batch_family_W(family, alpha, sizes, master_seed, hi - lo,
-                                seed_offset=lo)
-    return boundary.count_inside(w, thresholds, slacks)
+def _count_inside(draw, thresholds, slacks, count: int, seed_offset: int):
+    return boundary.count_inside(draw(count, seed_offset=seed_offset),
+                                 thresholds, slacks)
 
 
 def _run_window(cfg):
@@ -190,10 +188,12 @@ def _run_window(cfg):
                   else [float(cfg["threshold"])] * len(sizes))
     slacks = [boundary.window_slack(cfg["family"], cfg["alpha"], n) for n in sizes]
 
-    tasks = [(cfg["family"], cfg["alpha"], sizes, thresholds, slacks,
-              cfg["master_seed"], lo, hi)
-             for lo, hi in _chunks(n_seeds, _CHUNK["window"])]
-    counts = np.sum(_map_tasks(_window_chunk, tasks, cfg["workers"]), axis=0)
+    # each span is counted where it is drawn, so no process holds every W
+    draw = partial(boundary.batch_family_W, cfg["family"], cfg["alpha"], sizes,
+                   cfg["master_seed"])
+    counts = np.sum(_map_spans(partial(_count_inside, draw, thresholds, slacks),
+                               n_seeds, _CHUNK["window"], cfg["workers"]),
+                    axis=0)
     rec = NullRecurrenceRecord.from_counts(counts, n_seeds)
 
     rows = [(k + 1, n, thresholds[k], slacks[k], int(counts[k]), n_seeds,
@@ -232,28 +232,26 @@ def _run_window(cfg):
 # metastate
 
 
-def _metastate_chunk(task):
-    cfg, sizes, lo, hi = task
-    spec = _family_spec(cfg["family"], cfg["beta"], cfg["alpha"])
-    w = lambda_w_samples(spec, sizes, hi - lo, cfg["master_seed"], cfg["mode"],
-                         cfg["beta"], cfg["flip_disorder"],
-                         cfg["interaction_seed"], cfg["window"], seed_offset=lo)
-    return w.reshape(len(sizes), hi - lo)
-
-
 def _run_metastate(cfg):
     seq = resolve_sequence(cfg["sequence"]) if cfg["sequence"] else None
     sizes = list(seq.terms) if seq else [cfg["size"]]
     n_seeds = cfg["n_seeds"]
     chunk = _CHUNK["metastate_exact" if cfg["mode"] == "exact_gibbs_fit"
                    else "metastate"]
-    tasks = [(cfg, sizes, lo, hi) for lo, hi in _chunks(n_seeds, chunk)]
-    parts = _map_tasks(_metastate_chunk, tasks, cfg["workers"])
-    w = np.concatenate(parts, axis=1)          # (K sizes, n_seeds)
+    draw = partial(lambda_w_samples,
+                   _family_spec(cfg["family"], cfg["beta"], cfg["alpha"]),
+                   sizes, master_seed=cfg["master_seed"], mode=cfg["mode"],
+                   beta=cfg["beta"], flip_disorder=cfg["flip_disorder"],
+                   interaction_seed=cfg["interaction_seed"],
+                   window=cfg["window"])
+    # each span's draw is size-major; lay the spans side by side
+    w = np.concatenate([part.reshape(len(sizes), -1) for part in
+                        _map_spans(draw, n_seeds, chunk, cfg["workers"])],
+                       axis=1)                 # (K sizes, n_seeds)
 
     hist = histogram_from_w(w.reshape(-1), cfg["beta"], "lambda", sizes,
                             cfg["alpha"], cfg["mode"], n_seeds)
-    lam = boundary.metastate_weight(w, cfg["beta"])
+    lam = hist.values.reshape(w.shape)
     rows = [(cfg["alpha"] if cfg["alpha"] is not None else "", cfg["beta"],
              n, i, lam[k, i])
             for k, n in enumerate(sizes) for i in range(n_seeds)]
@@ -291,20 +289,12 @@ def _run_metastate(cfg):
 # chaotic size dependence
 
 
-def _csd_chunk(task):
-    cfg, lo, hi = task
-    spec = ModelSpec.dyson(cfg["alpha"])
-    seq = resolve_sequence(cfg["sequence"])
-    rec = csd_flip_statistics(spec, seq, cfg["master_seed"], hi - lo,
-                              boundary=cfg["boundary"], seed_offset=lo)
-    return rec
-
-
 def _run_csd(cfg):
     seq = resolve_sequence(cfg["sequence"])
     n_seeds = cfg["n_seeds"]
-    tasks = [(cfg, lo, hi) for lo, hi in _chunks(n_seeds, _CHUNK["csd"])]
-    recs = _map_tasks(_csd_chunk, tasks, cfg["workers"])
+    draw = partial(csd_flip_statistics, ModelSpec.dyson(cfg["alpha"]), seq,
+                   cfg["master_seed"], boundary=cfg["boundary"])
+    recs = _map_spans(draw, n_seeds, _CHUNK["csd"], cfg["workers"])
     w = np.vstack([r.w for r in recs])
     signs = np.vstack([r.signs for r in recs])
     flips = np.concatenate([r.flip_counts for r in recs])
@@ -341,8 +331,7 @@ def _run_csd(cfg):
 # gauge check
 
 
-def _gauge_chunk(task):
-    cfg, lo, hi = task
+def _gauge_rows(cfg, count: int, seed_offset: int) -> list:
     spec = ModelSpec.mattis(kernel=cfg["kernel"], beta=cfg["beta"],
                             alpha=cfg["alpha"], dimension=cfg["dimension"])
     partner = gauge_partner(spec)
@@ -350,7 +339,7 @@ def _gauge_chunk(task):
               else Volume.box(cfg["size"]))
     master = cfg["master_seed"]
     rows = []
-    for i in range(lo, hi):
+    for i in range(seed_offset, seed_offset + count):
         eta = DisorderRealization(rng.sub_seed(master, 3 * i))
         bc = BoundaryCondition.random(rng.sub_seed(master, 3 * i + 1))
         sigma = SpinConfiguration.random(volume, rng.sub_seed(master, 3 * i + 2))
@@ -369,8 +358,8 @@ def _gauge_chunk(task):
 
 def _run_gauge(cfg):
     n_seeds = cfg["n_seeds"]
-    tasks = [(cfg, lo, hi) for lo, hi in _chunks(n_seeds, _CHUNK["gauge-check"])]
-    rows = [r for part in _map_tasks(_gauge_chunk, tasks, cfg["workers"])
+    rows = [r for part in _map_spans(partial(_gauge_rows, cfg), n_seeds,
+                                     _CHUNK["gauge-check"], cfg["workers"])
             for r in part]
     n_pass = sum(int(r[-1]) for r in rows)
     comments = [
@@ -421,11 +410,17 @@ def oracle_trial_plan(spec: ModelSpec, size: int,
     return size, base_sweeps, 1
 
 
-def _oracle_chunk(task):
-    cfg, trials = task
+def _oracle_rows(cfg, count: int, seed_offset: int) -> list:
+    """Trials [seed_offset, seed_offset + count) in the order families, then
+    betas, then seeds: trial t has family families[t // (B S)] and beta
+    betas[(t // S) % B] for B betas and S seeds."""
     master = cfg["master_seed"]
+    per_beta = cfg["n_seeds"]
+    per_family = len(cfg["betas"]) * per_beta
     rows = []
-    for t, family, beta in trials:
+    for t in range(seed_offset, seed_offset + count):
+        family = cfg["families"][t // per_family]
+        beta = float(cfg["betas"][(t // per_beta) % len(cfg["betas"])])
         spec = _family_spec(family, beta, cfg["alpha"])
         size, sweeps, thin = oracle_trial_plan(spec, cfg["size"],
                                                cfg["n_sweeps"])
@@ -450,16 +445,9 @@ def _oracle_chunk(task):
 
 
 def _run_oracle(cfg):
-    trials = []
-    t = 0
-    for family in cfg["families"]:
-        for beta in cfg["betas"]:
-            for _ in range(cfg["n_seeds"]):
-                trials.append((t, family, float(beta)))
-                t += 1
-    chunk = _CHUNK["oracle-vs-mc"]
-    tasks = [(cfg, trials[lo:hi]) for lo, hi in _chunks(len(trials), chunk)]
-    rows = [r for part in _map_tasks(_oracle_chunk, tasks, cfg["workers"])
+    n_trials = len(cfg["families"]) * len(cfg["betas"]) * cfg["n_seeds"]
+    rows = [r for part in _map_spans(partial(_oracle_rows, cfg), n_trials,
+                                     _CHUNK["oracle-vs-mc"], cfg["workers"])
             for r in part]
 
     per_cell = {}

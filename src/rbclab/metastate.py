@@ -157,7 +157,7 @@ class MetastateHistogram:
 
 def _mirror_bins(w: np.ndarray, beta: float) -> np.ndarray:
     """Bin indices for lambda(W), exactly antisymmetric under W -> -W."""
-    lam_abs = 0.5 * (1.0 + np.tanh(beta * np.abs(w)))
+    lam_abs = metastate_weight(np.abs(w), beta)
     k_abs = np.minimum((lam_abs * N_BINS).astype(np.int64), N_BINS - 1)
     return np.where(w >= 0, k_abs, (N_BINS - 1) - k_abs)
 
@@ -184,8 +184,7 @@ def empirical_metastate(spec: ModelSpec, n_or_sequence, n_disorder: int,
                         beta: float | None = None, axis: str = "lambda",
                         flip_disorder: bool = False,
                         interaction_seed: int | None = None,
-                        window: int | None = None,
-                        seed_offset: int = 0) -> MetastateHistogram:
+                        window: int | None = None) -> MetastateHistogram:
     """Histogram of two-state weights across boundary-disorder realizations.
 
     Passing a VolumeSequence pools one lambda per (seed, size) pair, all
@@ -197,7 +196,7 @@ def empirical_metastate(spec: ModelSpec, n_or_sequence, n_disorder: int,
     sizes = (list(n_or_sequence.terms) if isinstance(n_or_sequence, VolumeSequence)
              else [int(n_or_sequence)])
     w = lambda_w_samples(spec, sizes, n_disorder, master_seed, mode, beta,
-                         flip_disorder, interaction_seed, window, seed_offset)
+                         flip_disorder, interaction_seed, window)
     return histogram_from_w(w, beta, axis, sizes, spec.alpha, mode, n_disorder)
 
 

@@ -32,6 +32,8 @@ except ImportError:  # pragma: no cover - numba is an install-time extra
     HAVE_NUMBA = False
 
 DEFAULT_RECOMPUTE_EVERY = 1000
+# fewest samples batch_means_stderr accepts (about 10 batches of 10)
+MIN_BATCH_SAMPLES = 100
 
 
 def recommended_sweeps(beta: float) -> int:
@@ -161,13 +163,14 @@ def batch_means_stderr(samples) -> float:
     """Standard error of the mean from sqrt(S) batch means.
 
     Correct for autocorrelated chains once batches exceed the correlation
-    time; with fewer than 100 samples the batch count is too small to trust,
-    so that is an error rather than a bad number.
+    time; with fewer than MIN_BATCH_SAMPLES samples the batch count is too
+    small to trust, so that is an error rather than a bad number.
     """
     x = np.asarray(samples, dtype=np.float64)
     s = len(x)
-    if s < 100:
-        raise ValueError(f"need >= 100 samples for batch means, got {s}")
+    if s < MIN_BATCH_SAMPLES:
+        raise ValueError(f"need >= {MIN_BATCH_SAMPLES} samples for batch "
+                         f"means, got {s}")
     n_batches = int(np.sqrt(s))
     batch = s // n_batches
     x = x[s - n_batches * batch:]  # drop the earliest remainder

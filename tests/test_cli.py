@@ -43,6 +43,21 @@ def test_shipped_configs_validate():
         assert "ok" in res.stdout
 
 
+# configs that `validate` once accepted and `run` then rejected: the scaling
+# fit's size count, sample count and size span, and the batch-means floor
+FIT_PROBES = [
+    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+      "sizes": [10, 100], "n_seeds": 1000}, "sizes"),
+    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+      "sizes": [10, 100, 1000, 10000], "n_seeds": 50}, "n_seeds"),
+    ({"experiment": "scaling", "family": "nn2d",
+      "sizes": [16, 32, 64, 128]}, "sizes"),
+    ({"experiment": "oracle-vs-mc", "families": ["nn_ising"],
+      "n_sweeps": 110}, "n_sweeps"),
+]
+FIT_PROBE_IDS = ["fit-sizes", "fit-samples", "fit-span", "batch-samples"]
+
+
 @pytest.mark.parametrize("payload,needle", [
     ({"experiment": "annealing"}, "experiment"),
     ({"experiment": "scaling", "family": "dyson", "alpha": 2.5}, "alpha"),
@@ -63,9 +78,10 @@ def test_shipped_configs_validate():
     ({"experiment": "window", "family": "dyson", "alpha": 1.25,
       "threshold": 1.0, "sequence": {"kind": "geometric", "budget": 10}},
      "sequence"),
-], ids=["experiment", "alpha-range", "sizes-order", "unknown-key",
-        "threshold-and-delta", "oracle-size", "exact-fit-size",
-        "exact-fit-sequence", "exact-fit-disorder", "sequence-too-short"])
+] + FIT_PROBES, ids=["experiment", "alpha-range", "sizes-order", "unknown-key",
+                     "threshold-and-delta", "oracle-size", "exact-fit-size",
+                     "exact-fit-sequence", "exact-fit-disorder",
+                     "sequence-too-short"] + FIT_PROBE_IDS)
 def test_validate_rejects_bad_configs(tmp_path, payload, needle):
     path = _write(tmp_path, "bad.json", payload)
     res = _cli("validate", path)
@@ -89,7 +105,7 @@ def test_validate_reports_line_numbers(tmp_path):
       "n_seeds": 5}, "mode"),
     ({"experiment": "csd", "alpha": 1.25, "n_seeds": 5,
       "sequence": {"budget": 100000, "kind": "cubic"}}, "kind"),
-], ids=["family", "mode", "sequence-kind"])
+] + FIT_PROBES, ids=["family", "mode", "sequence-kind"] + FIT_PROBE_IDS)
 def test_line_hint_points_at_the_offending_key(tmp_path, payload, key):
     # each message quotes a value before (or instead of) its key
     path = _write(tmp_path, "bad.json", payload)
@@ -241,7 +257,11 @@ def test_run_rejects_invalid_config(tmp_path):
 # check digests (the shipped power-kernel config and an nn box) were
 # recorded with the pair-loop coupling builders, the oracle digest once the
 # exact expectations stopped calling BLAS (2^14-entry tables are where a
-# 1-D ddot starts to split across threads).
+# 1-D ddot starts to split across threads). The last four were recorded while
+# experiments still built their own chunk tasks and oracle trial list: trial
+# index -> (family, beta) over several betas, a window over a sequence with
+# delta, csd against the plus boundary, and an exact fit over a five-term
+# sequence in two spans. Every digest must hold at one and at two workers.
 ANCHORED = {
     "scaling-dyson": (
         {"experiment": "scaling", "family": "dyson", "alpha": 1.25,
@@ -303,13 +323,35 @@ ANCHORED = {
          "betas": [0.5], "size": 14, "n_sweeps": 200, "n_seeds": 2,
          "master_seed": 1},
         "1473aba865dbafd8e24630fb77b7a4abc634bfd4dc10ab00be01fedc4d35e094"),
+    "oracle-vs-mc-betas": (
+        {"experiment": "oracle-vs-mc", "families": ["nn_ising", "mattis", "rfim"],
+         "betas": [0.5, 0.25], "size": 6, "n_sweeps": 200, "n_seeds": 2,
+         "master_seed": 4},
+        "e9bac17daa77915b2231a64faf0463f1febc2c96160dc62487e9a7f18e705cd4"),
+    "window-sequence": (
+        {"experiment": "window", "family": "dyson", "alpha": 1.25,
+         "sequence": {"kind": "linear", "budget": 1000, "step": 100},
+         "delta": 0.25, "n_seeds": 1200, "master_seed": 2},
+        "b43f2b82bf932c517e6ee600a45763a4f999e7c343fc4a6a26ddbe15657221ee"),
+    "csd-plus": (
+        {"experiment": "csd", "alpha": 1.25,
+         "sequence": {"kind": "geometric", "budget": 32766},
+         "n_seeds": 60, "boundary": "plus"},
+        "02f4309b0ccb94665e0bde492052a08a3c72ea1dc7743f40b762afe378947a19"),
+    "exact-fit-sequence": (
+        {"experiment": "metastate", "mode": "exact_gibbs_fit", "alpha": 1.5,
+         "beta": 1.0, "sequence": {"kind": "linear", "budget": 30, "step": 2},
+         "n_seeds": 30, "master_seed": 1},
+        "50c01a042e446cc4f3e40429d52fb5b715683465cff60cc83ceb74814ebdce06"),
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", list(ANCHORED))
-def test_csv_digests_are_anchored(tmp_path, case):
+def test_csv_digests_are_anchored(tmp_path, case, workers):
     payload, digest = ANCHORED[case]
-    summary = run_experiment(dict(payload), output_dir=str(tmp_path))
+    summary = run_experiment(dict(payload), output_dir=str(tmp_path),
+                             workers=workers)
     raw = Path(summary["csv_path"]).read_bytes()
     assert hashlib.sha256(raw).hexdigest() == digest
 

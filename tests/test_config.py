@@ -53,7 +53,10 @@ def test_resolved_defaults_are_not_shared():
 # integers, null for a key that has no default, and seeds outside
 # [0, 2**64) were rejected; every one of them failed at run time or aliased
 # another seed. The two geometric-ratio cases were rejected under the key
-# "sequence" (NaN) or raised OverflowError (Infinity).
+# "sequence" (NaN) or raised OverflowError (Infinity). Cases marked "fit"
+# were accepted before the scaling fit's size, span and sample rules and the
+# batch-means sample floor were checked at validation; each failed at run
+# time.
 CORPUS = [
     # scaling
     ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
@@ -65,13 +68,19 @@ CORPUS = [
     ({"experiment": "scaling", "family": "dyson"}, {"alpha"}),
     ({"experiment": "scaling", "family": "nn2d", "frobnicate": 1}, {"frobnicate"}),
     ({"experiment": "scaling", "family": "nn2d", "sizes": [16, 32], "alpha": 2,
-      "master_seed": 2**64 - 1}, set()),
+      "master_seed": 2**64 - 1}, {"sizes"}),                      # marked fit
     ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
       "sizes": [100, 50]}, {"sizes"}),
     ({"experiment": "scaling", "family": "dyson", "alpha": 3.0, "n_seeds": -1},
      {"alpha", "n_seeds"}),
     ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
       "sizes": None}, {"sizes"}),                                  # marked
+    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+      "sizes": [10, 100], "n_seeds": 1000}, {"sizes"}),            # marked fit
+    ({"experiment": "scaling", "family": "dyson", "alpha": 1.25,
+      "sizes": [10, 100, 1000, 10000], "n_seeds": 50}, {"n_seeds"}),  # marked fit
+    ({"experiment": "scaling", "family": "nn2d",
+      "sizes": [16, 32, 64, 128]}, {"sizes"}),                     # marked fit
     # window
     ({"experiment": "window", "family": "nn3d", "sizes": [5], "threshold": 0,
       "master_seed": 1.5, "n_seeds": "10", "workers": 0, "output_dir": None},
@@ -183,6 +192,8 @@ CORPUS = [
      {"families", "betas", "size", "alpha", "n_sweeps", "master_seed",
       "n_seeds", "workers", "output_dir"}),
     ({"experiment": "oracle-vs-mc", "size": 30}, {"size"}),
+    ({"experiment": "oracle-vs-mc", "families": ["nn_ising"],
+      "n_sweeps": 110}, {"n_sweeps"}),                             # marked fit
     ({"experiment": "oracle-vs-mc", "betas": [0.5, NAN]}, {"betas"}),   # marked
     ({"experiment": "oracle-vs-mc", "families": "dyson", "betas": [-1]},
      {"families", "betas"}),

@@ -370,5 +370,3 @@ def test_enumeration_limit_enforced():
     with pytest.raises(ValueError):
         gibbs_table(NN, Volume.interval(ENUMERATION_LIMIT + 1),
                     BoundaryCondition.free())
-    with pytest.raises(ValueError):
-        gibbs_table(NN, Volume.interval(12), BoundaryCondition.free(), max_sites=10)
