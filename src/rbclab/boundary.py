@@ -20,6 +20,7 @@ worst-case window bound for boundary truncation).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,47 +111,79 @@ def hurwitz_coefficients(alpha: float, m: int) -> tuple[np.ndarray, float]:
 
     One anchored tail sum at d = m+1 and a reverse cumulative sum give all m
     coefficients in O(m); agrees with per-d tail_sum calls within bounds.
+    Computed once per (alpha, m) in a process; the array is read-only.
     """
     _check_alpha(alpha)
     if m < 1:
         raise ValueError(f"need at least one coefficient, got m={m}")
+    return _hurwitz_cached(float(alpha), int(m))
+
+
+@functools.lru_cache(maxsize=32)
+def _hurwitz_cached(alpha: float, m: int) -> tuple[np.ndarray, float]:
     anchor = tail_sum(alpha, m + 1)
     powers = np.arange(1, m + 1, dtype=np.float64) ** -alpha
     a = powers[::-1].cumsum()[::-1] + anchor.value
+    a.flags.writeable = False
     per_term = anchor.error_bound + 1.2e-16 * m ** 0.5 * float(a[0])
     return a, per_term
 
 
 def _row_blocks(master_seed: int, tags, count: int, n_seeds: int,
                 seed_offset: int = 0, negate: bool = False):
-    """Yield (i, rows), rows[t][r] = the first `count` +-1 values of the
-    tags[t] stream of sub_seed(master_seed, seed_offset + i + r), negated if
-    asked; the sub-seeds of a block are computed once, and each tag's rows
-    are one u64_at call over a (sub-seeds x count) index grid."""
-    per = max(1, BLOCK // count)
+    """Yield (i, rows), rows[t][r] = the first `count` sign words (word &
+    1<<63, set for -1) of the tags[t] stream of sub_seed(master_seed,
+    seed_offset + i + r), sign flipped if asked.
+
+    The sub-seeds of a block are computed once, and each tag's rows are one
+    u64_at call over a (sub-seeds x count) index grid, written into a word
+    buffer allocated once per call: the rows are valid until the next block.
+    """
+    per = max(1, min(n_seeds, BLOCK // count))
     idx = np.arange(count, dtype=np.uint64)
+    bufs = [np.empty((per, count), dtype=np.uint64) for _ in tags]
     for i in range(0, n_seeds, per):
         seeds = rng.sub_seeds(master_seed, seed_offset + i,
                               seed_offset + min(i + per, n_seeds))[:, None]
-        rows = [rng.pm1_from_u64(rng.u64_at(seeds, tag, idx)) for tag in tags]
-        yield i, [(-r if negate else r).astype(np.float64) for r in rows]
+        rows = [rng.u64_at(seeds, tag, idx, out=buf[:len(seeds)], sign_only=True)
+                for tag, buf in zip(tags, bufs)]
+        if negate:
+            for r in rows:
+                r ^= rng.SIGN_BIT
+        yield i, rows
 
 
 # Standalone and batch functions evaluate rows through the same helpers, so
 # they agree bit for bit: one numpy sum of products per (row, window), which
 # calls no BLAS, so the bits do not depend on its thread count; box gaps are
-# exact.
-def _half_line_w(coeffs, eta) -> list:
+# exact.  A row is float values (standalone) or sign words (batch).
+def _products(c, row, buf):
+    """c * row[:len(c)] in buf[:len(c)].  For sign words this is one XOR of
+    each coefficient's sign bit, which is the product with +-1.0 exactly."""
+    buf = buf[:len(c)]
+    if row.dtype == np.uint64:
+        np.bitwise_xor(c.view(np.uint64), row[:len(c)], out=buf.view(np.uint64))
+    else:
+        np.multiply(c, row[:len(c)], out=buf)
+    return buf
+
+
+def _half_line_w(coeffs, eta, buf) -> list:
     """W at the nested windows len(c), c in coeffs, of one boundary row."""
-    return [float((c * eta[:len(c)]).sum()) for c in coeffs]
+    return [float(_products(c, eta, buf).sum()) for c in coeffs]
 
 
-def _interval_w(c, eta_left, eta_right) -> float:
-    return float((c * eta_left).sum() + (c * eta_right).sum())
+def _interval_w(c, eta_left, eta_right, buf) -> float:
+    return float(_products(c, eta_left, buf).sum()
+                 + _products(c, eta_right, buf).sum())
 
 
 def _box_gap(layer):
-    """-2 sum eta over the last axis: one gap per row."""
+    """-2 sum eta over the last axis: one gap per row.  For sign words that
+    sum is count - 2 * (number of -1 values), an exact integer."""
+    if layer.dtype == np.uint64:
+        neg = np.count_nonzero(layer, axis=-1)
+        return -2.0 * (layer.shape[-1] - 2 * neg)
     return -2.0 * layer.sum(axis=-1)
 
 
@@ -177,7 +210,8 @@ def sample_W_plus(alpha: float, window_m: int, eta) -> WPlusSample:
     if values.shape != (window_m,):
         raise ValueError(f"eta must supply {window_m} boundary values")
     a, per_term = hurwitz_coefficients(alpha, window_m)
-    return WPlusSample(_half_line_w([a], values.astype(np.float64))[0],
+    return WPlusSample(_half_line_w([a], values.astype(np.float64),
+                                    np.empty(window_m))[0],
                        window_m * per_term)
 
 
@@ -211,11 +245,12 @@ def batch_W_plus(alpha: float, sizes, master_seed: int, n_seeds: int,
     sizes = np.asarray(sizes, dtype=np.int64)
     coeffs = [hurwitz_coefficients(alpha, int(m))[0] for m in sizes]
     out = np.empty((n_seeds, len(sizes)))
+    buf = np.empty(int(sizes.max()))
     for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LEFT,),
                                   int(sizes.max()), n_seeds, seed_offset,
                                   negate):
         for r, eta in enumerate(rows):
-            out[i + r] = _half_line_w(coeffs, eta)
+            out[i + r] = _half_line_w(coeffs, eta, buf)
     return out
 
 
@@ -275,7 +310,7 @@ def interval_boundary_energy(alpha: float, n: int, window_m: int,
     er = np.asarray(eta_right, dtype=np.float64)
     if el.shape != (window_m,) or er.shape != (window_m,):
         raise ValueError(f"eta arrays must each supply {window_m} values")
-    return _interval_w(c, el, er)
+    return _interval_w(c, el, er, np.empty(window_m))
 
 
 def interval_exact_std(alpha: float, n: int, window_m: int) -> float:
@@ -289,10 +324,11 @@ def batch_interval_W(alpha: float, n: int, window_m: int, master_seed: int,
     """Interval W per realization; seed i uses streams of sub_seed(master, i)."""
     c = interval_coefficients(alpha, n, window_m)
     out = np.empty(n_seeds)
+    buf = np.empty(window_m)
     for i, (el, er) in _row_blocks(master_seed, (rng.TAG_LEFT, rng.TAG_RIGHT),
                                    window_m, n_seeds, seed_offset, negate):
         for r in range(len(el)):
-            out[i + r] = _interval_w(c, el[r], er[r])
+            out[i + r] = _interval_w(c, el[r], er[r], buf)
     return out
 
 

@@ -14,6 +14,9 @@ import numpy as np
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# The top bit of a stream word: set means -1 in every +-1 draw.
+SIGN_BIT = np.uint64(1 << 63)
 
 # Role tags.  Streams with different tags are unrelated even under the
 # same seed; never reuse a tag for a new purpose.
@@ -29,28 +32,61 @@ TAG_MC_ACCEPT = 0xA3
 TAG_SUBSEED = 0xF5
 
 
-def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 finalizer, elementwise on uint64 (wraparound intended)."""
-    z = np.uint64(z) if np.isscalar(z) or isinstance(z, int) else z
+def _mix64(z: np.ndarray, sign_only: bool = False) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array (wraparound intended).
+
+    One scratch array holds each shifted copy.  With sign_only the last step,
+    z ^= z >> 31, is skipped: it cannot change the top bit, so only that bit
+    of the result is then the mixed word's.
+    """
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MULT1
-        z = (z ^ (z >> np.uint64(27))) * _MULT2
-        return z ^ (z >> np.uint64(31))
+        np.right_shift(z, _S30, out=t)
+        z ^= t
+        z *= _MULT1
+        np.right_shift(z, _S27, out=t)
+        z ^= t
+        z *= _MULT2
+        if not sign_only:
+            np.right_shift(z, _S31, out=t)
+            z ^= t
+    return z
 
 
-def _stream_key(seed, tag: int):
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    t = np.uint64(tag & 0xFFFFFFFFFFFFFFFF)
+def _stream_key(seed, tag: int) -> np.ndarray:
+    """mix(seed ^ mix(tag * gamma + gamma)); 0-d for an int seed, the seed
+    array's shape otherwise."""
+    t = np.array(tag & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(s ^ _mix64(t * _GAMMA + _GAMMA))
+        t *= _GAMMA
+        t += _GAMMA
+    key = np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    key ^= _mix64(t)
+    return _mix64(key)
 
 
-def u64_at(seed, tag: int, indices: np.ndarray) -> np.ndarray:
+def u64_at(seed, tag: int, indices: np.ndarray, out: np.ndarray | None = None,
+           sign_only: bool = False) -> np.ndarray:
     """Stream words at arbitrary indices (uint64 array in, uint64 array out);
-    `seed` is an int or a uint64 array broadcast against `indices`."""
+    `seed` is an int or a uint64 array broadcast against `indices`.
+
+    The words are written into `out` when it is given (a C-contiguous uint64
+    array of the broadcast shape) and into a new array otherwise.  With
+    sign_only each word is reduced to its top bit, word & 1<<63.
+    """
     idx = np.asarray(indices, dtype=np.uint64)
+    key = _stream_key(seed, tag)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(key.shape, idx.shape), dtype=np.uint64)
+    # key + (idx + 1) * gamma, as idx * gamma + (key + gamma) mod 2**64
     with np.errstate(over="ignore"):
-        return _mix64(_stream_key(seed, tag) + (idx + np.uint64(1)) * _GAMMA)
+        np.multiply(idx, _GAMMA, out=out)
+        key += _GAMMA
+        out += key
+    _mix64(out, sign_only)
+    if sign_only:
+        out &= SIGN_BIT
+    return out
 
 
 def stream_u64(seed: int, tag: int, start: int, count: int) -> np.ndarray:
@@ -111,4 +147,5 @@ def bond_codes(pairs) -> np.ndarray:
     p = p.reshape(-1, 2, *p.shape[2:])
     ca, cb = site_codes(p[:, 0]), site_codes(p[:, 1])
     with np.errstate(over="ignore"):
-        return _mix64(np.minimum(ca, cb) + _GAMMA * np.maximum(ca, cb))
+        z = np.minimum(ca, cb) + _GAMMA * np.maximum(ca, cb)
+    return _mix64(z)

@@ -1,5 +1,7 @@
 """Boundary-energy statistics: certified tails, exact moments, fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -65,6 +67,16 @@ def test_hurwitz_coefficients_match_scipy():
         assert abs(a[d - 1] - t.value) <= per_term + t.error_bound
 
 
+def test_hurwitz_coefficients_are_cached_read_only():
+    a, per_term = hurwitz_coefficients(1.5, 60)
+    fresh, fresh_per_term = boundary._hurwitz_cached.__wrapped__(1.5, 60)
+    assert np.array_equal(a.view(np.uint64), fresh.view(np.uint64))
+    assert per_term == fresh_per_term
+    assert hurwitz_coefficients(1.5, np.int64(60))[0] is a
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # half-line boundary energy
 
@@ -109,6 +121,42 @@ def test_batch_is_bitwise_equal_to_standalone_samples():
             eta = DisorderRealization(rng.sub_seed(5, offset + i), negate)
             for k, m in enumerate(sizes):
                 assert out[i, k] == sample_W_plus(1.25, m, eta).value
+
+
+@pytest.mark.parametrize("tags", [(rng.TAG_LEFT,), (rng.TAG_LEFT, rng.TAG_RIGHT)])
+@pytest.mark.parametrize("negate", [False, True])
+def test_row_blocks_are_stream_sign_bits(tags, negate):
+    # 4 row blocks of 3 from an unaligned offset, the last one short
+    idx = np.arange(M_BLOCK3, dtype=np.uint64)
+    seen = 0
+    for i, rows in boundary._row_blocks(7, tags, M_BLOCK3, 10, seed_offset=5,
+                                        negate=negate):
+        assert len(rows) == len(tags)
+        for tag, block in zip(tags, rows):
+            assert block.dtype == np.uint64 and block.shape[1] == M_BLOCK3
+            for r, row in enumerate(block):
+                want = rng.u64_at(rng.sub_seed(7, 5 + i + r), tag, idx) & rng.SIGN_BIT
+                if negate:
+                    want ^= rng.SIGN_BIT
+                assert np.array_equal(row, want)
+        seen += len(rows[0])
+    assert seen == 10
+
+
+def test_batch_memory_is_flat_in_realizations():
+    m = 100_000
+    batch_W_plus(1.25, [m], master_seed=2, n_seeds=1)  # caches the coefficients
+    peaks = {}
+    for n_seeds in (3, 30):
+        tracemalloc.start()
+        try:
+            batch_W_plus(1.25, [m], master_seed=2, n_seeds=n_seeds)
+            peaks[n_seeds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # equal up to the (n_seeds, 1) output, far below one 8 * m byte row
+    assert abs(peaks[30] - peaks[3]) <= 4096
+    assert peaks[30] <= 5 * 8 * m
 
 
 def test_batch_seed_offset_partitions_realizations():
@@ -202,6 +250,19 @@ def test_nn2d_gap_hand_values():
     assert nn2d_boundary_gap(2, np.array([1, -1, 1, -1, 1, -1, 1, -1])) == 0.0
     with pytest.raises(ValueError):
         nn2d_boundary_gap(2, np.ones(7))
+
+
+def test_balanced_layer_gap_is_negative_zero():
+    # -2 * 0.0 is -0.0, and the CSV writes it so: batch and standalone agree
+    g = nn2d_boundary_gap(2, np.array([1.0, -1.0] * 4))
+    assert g == 0.0 and np.signbit(g)
+    out = batch_nn2d_gaps(1, master_seed=8, n_seeds=16)
+    balanced = [i for i in range(16)
+                if DisorderRealization(rng.sub_seed(8, i)).layer_values(4).sum() == 0]
+    assert balanced
+    for i in balanced:
+        assert out[i] == 0.0 and np.signbit(out[i])
+    assert not np.any(np.signbit(out[out > 0]))
 
 
 def test_nn2d_exact_std_closed_form():

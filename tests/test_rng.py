@@ -153,6 +153,21 @@ def test_seed_arrays_match_scalar_calls(master):
         assert np.array_equal(row, rng.u64_at(int(s), rng.TAG_LEFT, idx))
 
 
+@pytest.mark.parametrize("master", [0, -1, 2 ** 63 + 5])
+def test_u64_at_writes_into_a_given_buffer(master):
+    seeds = rng.sub_seeds(master, 0, 6)[:, None]
+    idx = np.arange(1, 40, 3, dtype=np.uint64)
+    want = rng.u64_at(seeds, rng.TAG_LAYER, idx)
+    buf = np.full((6, len(idx)), 7, dtype=np.uint64)
+    assert rng.u64_at(seeds, rng.TAG_LAYER, idx, out=buf) is buf
+    assert np.array_equal(buf, want)
+    # sign_only keeps each word's top bit and clears the rest
+    assert rng.u64_at(seeds, rng.TAG_LAYER, idx, out=buf, sign_only=True) is buf
+    assert np.array_equal(buf, want & rng.SIGN_BIT)
+    assert np.array_equal(rng.u64_at(master, rng.TAG_LAYER, idx, sign_only=True),
+                          rng.u64_at(master, rng.TAG_LAYER, idx) & rng.SIGN_BIT)
+
+
 def test_no_overflow_warnings():
     with np.errstate(over="raise"):
         rng.stream_u64(123, rng.TAG_SITE, 0, 100)
