@@ -135,16 +135,16 @@ def _row_blocks(master_seed: int, tags, count: int, n_seeds: int,
     1<<63, set for -1) of the tags[t] stream of sub_seed(master_seed,
     seed_offset + i + r), sign flipped if asked.
 
-    The sub-seeds of a block are computed once, and each tag's rows are one
-    u64_at call over a (sub-seeds x count) index grid, written into a word
+    The call's sub-seeds are drawn once, and each tag's rows are one u64_at
+    call per block over a (sub-seeds x count) index grid, written into a word
     buffer allocated once per call: the rows are valid until the next block.
     """
     per = max(1, min(n_seeds, BLOCK // count))
     idx = np.arange(count, dtype=np.uint64)
     bufs = [np.empty((per, count), dtype=np.uint64) for _ in tags]
+    all_seeds = rng.sub_seeds(master_seed, seed_offset, seed_offset + n_seeds)
     for i in range(0, n_seeds, per):
-        seeds = rng.sub_seeds(master_seed, seed_offset + i,
-                              seed_offset + min(i + per, n_seeds))[:, None]
+        seeds = all_seeds[i:i + per, None]
         rows = [rng.u64_at(seeds, tag, idx, out=buf[:len(seeds)], sign_only=True)
                 for tag, buf in zip(tags, bufs)]
         if negate:
@@ -355,12 +355,20 @@ def nn2d_gap_exact_std(n: int) -> float:
     return 2.0 * float(np.sqrt(n_bonds))
 
 
-def batch_nn2d_gaps(n: int, master_seed: int, n_seeds: int,
+def batch_nn2d_gaps(sizes, master_seed: int, n_seeds: int,
                     seed_offset: int = 0) -> np.ndarray:
-    out = np.empty(n_seeds)
-    for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LAYER,), 4 * n,
-                                  n_seeds, seed_offset):
-        out[i:i + len(rows)] = _box_gap(rows)
+    """Box gaps at nested sides: (n_seeds, len(sizes)) matrix.
+
+    Seed i reads the first 4 max(sizes) values of its layer stream once;
+    column k is bit-identical to nn2d_boundary_gap at side sizes[k] with the
+    same realization (prefix nesting, as in batch_W_plus).
+    """
+    widths = 4 * np.asarray(sizes, dtype=np.int64)
+    out = np.empty((n_seeds, len(widths)))
+    for i, (rows,) in _row_blocks(master_seed, (rng.TAG_LAYER,),
+                                  int(widths.max()), n_seeds, seed_offset):
+        for k, w in enumerate(widths):
+            out[i:i + len(rows), k] = _box_gap(rows[:, :w])
     return out
 
 
@@ -372,8 +380,7 @@ def batch_family_W(family: str, alpha: float | None, sizes, master_seed: int,
         return batch_W_plus(alpha, sizes, master_seed, n_seeds,
                             seed_offset=seed_offset)
     if family == "nn2d":
-        return np.column_stack([batch_nn2d_gaps(int(n), master_seed, n_seeds,
-                                                seed_offset) for n in sizes])
+        return batch_nn2d_gaps(sizes, master_seed, n_seeds, seed_offset)
     raise ValueError(f"family must be 'dyson' or 'nn2d', got {family!r}")
 
 

@@ -50,7 +50,16 @@ _CHUNK = {"scaling": 250, "window": 500, "metastate": 250,
 # plumbing
 
 
+# exact types whose text is their own repr (str for str): float64 is a float
+# subclass, and bool, not an exact int, keeps its "1"/"0" below
+_FMT_EXACT = {float: float.__repr__, np.float64: float.__repr__,
+              int: int.__repr__, str: str}
+
+
 def _fmt(x) -> str:
+    fmt = _FMT_EXACT.get(type(x))
+    if fmt is not None:
+        return fmt(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):

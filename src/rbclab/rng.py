@@ -9,6 +9,8 @@ never depend on worker count or evaluation order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -53,15 +55,22 @@ def _mix64(z: np.ndarray, sign_only: bool = False) -> np.ndarray:
     return z
 
 
-def _stream_key(seed, tag: int) -> np.ndarray:
-    """mix(seed ^ mix(tag * gamma + gamma)); 0-d for an int seed, the seed
-    array's shape otherwise."""
+@functools.cache
+def _tag_key(tag: int) -> np.uint64:
+    """mix(tag * gamma + gamma), mixed on a tag's first use; a numpy scalar,
+    so no caller can change the cached value."""
     t = np.array(tag & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     with np.errstate(over="ignore"):
         t *= _GAMMA
         t += _GAMMA
+    return _mix64(t)[()]
+
+
+def _stream_key(seed, tag: int) -> np.ndarray:
+    """mix(seed ^ mix(tag * gamma + gamma)); 0-d for an int seed, the seed
+    array's shape otherwise."""
     key = np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    key ^= _mix64(t)
+    key ^= _tag_key(tag)
     return _mix64(key)
 
 

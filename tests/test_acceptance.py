@@ -83,7 +83,8 @@ def test_02_bounded_regime(capsys):
 
 def test_03_nn2d_gap_scaling(capsys):
     sizes = [16, 32, 64, 128, 256, 512, 1024]
-    samples = {n: batch_nn2d_gaps(n, MASTER + 2, 10_000) for n in sizes}
+    gaps = batch_nn2d_gaps(sizes, MASTER + 2, 10_000)
+    samples = {n: gaps[:, k] for k, n in enumerate(sizes)}
     fit = scaling_fit(samples, min_span=10.0)  # criterion range: 1.8 decades
     closed = np.array([2.0 * np.sqrt(4.0 * n) for n in sizes])
     exact = np.array([nn2d_gap_exact_std(n) for n in sizes])

@@ -256,13 +256,16 @@ def test_balanced_layer_gap_is_negative_zero():
     # -2 * 0.0 is -0.0, and the CSV writes it so: batch and standalone agree
     g = nn2d_boundary_gap(2, np.array([1.0, -1.0] * 4))
     assert g == 0.0 and np.signbit(g)
-    out = batch_nn2d_gaps(1, master_seed=8, n_seeds=16)
+    out = batch_nn2d_gaps([1], master_seed=8, n_seeds=16)[:, 0]
     balanced = [i for i in range(16)
                 if DisorderRealization(rng.sub_seed(8, i)).layer_values(4).sum() == 0]
     assert balanced
-    for i in balanced:
-        assert out[i] == 0.0 and np.signbit(out[i])
-    assert not np.any(np.signbit(out[out > 0]))
+    # the side-1 column again, now a 4-word prefix of a longer sliced row
+    sliced = batch_nn2d_gaps([7, 1], master_seed=8, n_seeds=16)[:, 1]
+    for gaps in (out, sliced):
+        for i in balanced:
+            assert gaps[i] == 0.0 and np.signbit(gaps[i])
+        assert not np.any(np.signbit(gaps[gaps > 0]))
 
 
 def test_nn2d_exact_std_closed_form():
@@ -271,16 +274,77 @@ def test_nn2d_exact_std_closed_form():
 
 
 def test_nn2d_batch_matches_disorder_stream():
-    out = batch_nn2d_gaps(5, master_seed=8, n_seeds=4)
+    out = batch_nn2d_gaps([5], master_seed=8, n_seeds=4)[:, 0]
     for i in range(4):
         d = DisorderRealization(rng.sub_seed(8, i))
         assert out[i] == nn2d_boundary_gap(5, d.layer_values(20).astype(np.float64))
     # a layer of 4n words puts 3 boxes in each row block: 4 blocks, offset 5
     n = M_BLOCK3 // 4 + 1
-    out = batch_nn2d_gaps(n, master_seed=8, n_seeds=10, seed_offset=5)
+    out = batch_nn2d_gaps([n], master_seed=8, n_seeds=10, seed_offset=5)[:, 0]
     for i in range(10):
         d = DisorderRealization(rng.sub_seed(8, 5 + i))
         assert out[i] == nn2d_boundary_gap(n, d)
+
+
+def test_nn2d_batch_columns_are_nested_gaps():
+    # column k is the standalone gap at side sizes[k]: every side reads a
+    # prefix of one layer row, here 4 * 16385 words, past one row block, so
+    # each block holds a single row (unsorted sides, unaligned offset)
+    sizes = [20, boundary.BLOCK // 4 + 1, 1, 4100]
+    assert 4 * max(sizes) > boundary.BLOCK
+    out = batch_nn2d_gaps(sizes, master_seed=8, n_seeds=5, seed_offset=3)
+    assert out.shape == (5, len(sizes))
+    for i in range(5):
+        d = DisorderRealization(rng.sub_seed(8, 3 + i))
+        for k, n in enumerate(sizes):
+            assert out[i, k] == nn2d_boundary_gap(n, d)
+
+
+def test_nn2d_batch_spans_concatenate_to_the_whole():
+    # rows of 4 * 4097 words, 3 per row block; spans from unaligned offsets
+    sizes = [5, M_BLOCK3 // 4 + 1, 64]
+    whole = batch_nn2d_gaps(sizes, master_seed=9, n_seeds=10)
+    bounds = [0, 4, 5, 10]
+    parts = [batch_nn2d_gaps(sizes, master_seed=9, n_seeds=hi - lo,
+                             seed_offset=lo)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _count_u64_at(monkeypatch):
+    """Wrap rng.u64_at (sub-seeds included); returns the [calls, words] tally."""
+    tally = [0, 0]
+    inner = rng.u64_at
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        tally[0] += 1
+        tally[1] += int(np.size(out))
+        return out
+    monkeypatch.setattr(rng, "u64_at", counting)
+    return tally
+
+
+@pytest.mark.parametrize("sizes, n_seeds", [([16, 1024, 64], 37),
+                                            ([boundary.BLOCK // 4 + 1, 2], 3)])
+def test_nn2d_batch_draws_each_word_once(monkeypatch, sizes, n_seeds):
+    # one row of 4 max(sizes) words per realization for all sides, plus one
+    # sub-seed word each, drawn in one call for the whole span
+    tally = _count_u64_at(monkeypatch)
+    batch_nn2d_gaps(sizes, master_seed=4, n_seeds=n_seeds, seed_offset=2)
+    count = 4 * max(sizes)
+    per = max(1, boundary.BLOCK // count)
+    assert tally == [-(-n_seeds // per) + 1, n_seeds * count + n_seeds]
+
+
+@pytest.mark.parametrize("sizes, n_seeds", [([10, 5000, 300], 40),
+                                            ([boundary.BLOCK + 1, 7], 3)])
+def test_w_plus_batch_draws_each_word_once(monkeypatch, sizes, n_seeds):
+    tally = _count_u64_at(monkeypatch)
+    batch_W_plus(1.25, sizes, master_seed=4, n_seeds=n_seeds, seed_offset=2)
+    count = max(sizes)
+    per = max(1, boundary.BLOCK // count)
+    assert tally == [-(-n_seeds // per) + 1, n_seeds * count + n_seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbclab.config import (_COMMON, KEYS, ConfigError, resolve_config,
                            validate_config)
-from rbclab.experiments import run_experiment
+from rbclab.experiments import _fmt, run_experiment
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -235,6 +236,15 @@ def test_run_scaling_emits_fit_results(tmp_path):
     assert len(rows) - 1 == 4 * 1000  # header + (size, seed) pairs
 
 
+@pytest.mark.parametrize("value,text", [
+    (True, "1"), (np.bool_(False), "0"), (5, "5"), (np.int64(5), "5"),
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (-0.0, "-0.0"),
+    (np.float64(-0.0), "-0.0"), (float("inf"), "inf"), (float("nan"), "nan"),
+    (np.float32(0.1), "0.10000000149011612"), ("dyson", "dyson")])
+def test_csv_cells_are_pinned(value, text):
+    assert _fmt(value) == text
+
+
 def test_run_rejects_invalid_config(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"experiment": "scaling",
                                         "family": "dyson", "alpha": 9.0})
@@ -280,6 +290,11 @@ ANCHORED = {
         {"experiment": "window", "family": "nn2d", "sizes": [20, 333, 2048],
          "delta": 0.3, "n_seeds": 700, "master_seed": 6},
         "3b6270f683b1d57148bb75fb78585fdc00f244ade61b42118154b2d146a293cc"),
+    # a 4 * 17000-word layer row exceeds boundary.BLOCK: one row per block
+    "window-nn2d-wide": (
+        {"experiment": "window", "family": "nn2d", "sizes": [20, 4100, 17000],
+         "delta": 0.3, "n_seeds": 300, "master_seed": 11},
+        "6eb0747d48fb9981612792d316088d5a6456c0b33982d44784b4daeb831740cb"),
     "metastate": (
         {"experiment": "metastate", "alpha": 1.5, "beta": 1.0, "size": 1234,
          "n_seeds": 600, "master_seed": 7},

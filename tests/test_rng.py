@@ -1,6 +1,10 @@
 """Counter-based RNG: determinism, nesting, statistics, code injectivity."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,63 @@ def test_u64_at_writes_into_a_given_buffer(master):
     assert np.array_equal(buf, want & rng.SIGN_BIT)
     assert np.array_equal(rng.u64_at(master, rng.TAG_LAYER, idx, sign_only=True),
                           rng.u64_at(master, rng.TAG_LAYER, idx) & rng.SIGN_BIT)
+
+
+# ---------------------------------------------------------------------------
+# stream keys
+
+
+_M64 = 2 ** 64 - 1
+_TAGS = {name: v for name, v in vars(rng).items() if name.startswith("TAG_")}
+
+
+def _mix_ref(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _stream_key_ref(seed: int, tag: int) -> int:
+    """The uncached key: mix(seed ^ mix(tag * gamma + gamma)), in Python ints."""
+    g = 0x9E3779B97F4A7C15
+    return _mix_ref((seed & _M64) ^ _mix_ref((tag * g + g) & _M64))
+
+
+@pytest.mark.parametrize("tag", list(_TAGS.values()), ids=list(_TAGS))
+def test_stream_key_matches_uncached_formula(tag):
+    for seed in (0, 2 ** 64 - 1):
+        assert int(rng._stream_key(seed, tag)) == _stream_key_ref(seed, tag)
+    seeds = rng.sub_seeds(3, 0, 9).reshape(3, 3)
+    keys = rng._stream_key(seeds, tag)
+    assert keys.shape == (3, 3) and keys.dtype == np.uint64
+    assert [int(k) for k in keys.ravel()] == \
+        [_stream_key_ref(int(s), tag) for s in seeds.ravel()]
+
+
+def test_stream_key_cannot_be_changed_by_callers():
+    want = _stream_key_ref(5, rng.TAG_LAYER)
+    key = rng._stream_key(5, rng.TAG_LAYER)
+    key ^= np.uint64(0xFFFF)
+    tag_key = rng._tag_key(rng.TAG_LAYER)
+    tag_key ^= np.uint64(0xFFFF)
+    assert int(rng._stream_key(5, rng.TAG_LAYER)) == want
+    seeds = np.array([5, 6], dtype=np.uint64)
+    keys = rng._stream_key(seeds, rng.TAG_LAYER)
+    keys ^= np.uint64(1)
+    assert int(rng._stream_key(seeds, rng.TAG_LAYER)[0]) == want
+
+
+def test_tag_keys_are_not_mixed_at_import():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import rbclab.cli\nfrom rbclab import rng\n"
+            "print(rng._tag_key.cache_info().currsize)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0"]
 
 
 def test_no_overflow_warnings():
